@@ -30,6 +30,7 @@ import (
 	"cognicryptgen/rules"
 	"cognicryptgen/service"
 	"cognicryptgen/templates"
+	"cognicryptgen/wire"
 )
 
 var (
@@ -263,7 +264,7 @@ func BenchmarkServiceGenerate(b *testing.B) {
 	cases := allUseCases()
 	// Warm: one generation per use case populates the result cache.
 	for _, uc := range cases {
-		if _, err := srv.Generate(context.Background(), service.GenerateRequest{UseCase: uc.ID}); err != nil {
+		if _, err := srv.Generate(context.Background(), wire.GenerateRequest{UseCase: uc.ID}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -273,7 +274,7 @@ func BenchmarkServiceGenerate(b *testing.B) {
 		for pb.Next() {
 			i := atomic.AddInt64(&next, 1)
 			uc := cases[int(i)%len(cases)]
-			if _, err := srv.Generate(context.Background(), service.GenerateRequest{UseCase: uc.ID}); err != nil {
+			if _, err := srv.Generate(context.Background(), wire.GenerateRequest{UseCase: uc.ID}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -312,12 +313,12 @@ func BenchmarkServiceColdVsWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer srv.Close()
-		if _, err := srv.Generate(context.Background(), service.GenerateRequest{UseCase: uc.ID}); err != nil {
+		if _, err := srv.Generate(context.Background(), wire.GenerateRequest{UseCase: uc.ID}); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := srv.Generate(context.Background(), service.GenerateRequest{UseCase: uc.ID}); err != nil {
+			if _, err := srv.Generate(context.Background(), wire.GenerateRequest{UseCase: uc.ID}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -339,13 +340,13 @@ func BenchmarkServiceUncached(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Warm the workers' generators.
-	if _, err := srv.Generate(context.Background(), service.GenerateRequest{Name: "warm.go", Source: src}); err != nil {
+	if _, err := srv.Generate(context.Background(), wire.GenerateRequest{Name: "warm.go", Source: src}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		name := fmt.Sprintf("uniq%d.go", i)
-		if _, err := srv.Generate(context.Background(), service.GenerateRequest{Name: name, Source: src}); err != nil {
+		if _, err := srv.Generate(context.Background(), wire.GenerateRequest{Name: name, Source: src}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -43,6 +43,7 @@ import (
 
 	"cognicryptgen/internal/breaker"
 	"cognicryptgen/internal/faultinject"
+	"cognicryptgen/internal/latwindow"
 	"cognicryptgen/wire"
 )
 
@@ -131,12 +132,9 @@ type Client struct {
 	// before their primary (Config.Hedge).
 	hedgedTotal atomic.Int64
 	hedgeWins   atomic.Int64
-	// latMu guards the successful-attempt latency ring feeding the
+	// lats is the successful-attempt latency window feeding the
 	// p99-derived hedge delay.
-	latMu   sync.Mutex
-	lats    []time.Duration
-	latNext int
-	latFull bool
+	lats latwindow.Window
 
 	// fingerprint is the last rule-set fingerprint observed (responses,
 	// readyz probes). Routing keys include it so client and daemons agree
@@ -492,7 +490,7 @@ func (c *Client) doRetry(ctx context.Context, nodes []string, path string, in, o
 			if c.budget != nil {
 				c.budget.Deposit()
 			}
-			c.observeLatency(time.Since(attemptStart))
+			c.lats.Observe(time.Since(attemptStart))
 			return nil
 		case wireErr.Status == http.StatusTooManyRequests:
 			// Shedding proves the node alive — close its breaker (a half-open

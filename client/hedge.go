@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"sort"
 	"time"
 
 	"cognicryptgen/wire"
@@ -23,61 +22,15 @@ import (
 // hedge, gate it on the retry budget so hedging cannot amplify overload,
 // and cancel the loser so the cluster never does the work twice for long.
 
-// hedgeLatencyWindow is the successful-attempt latency ring size behind
-// the p99-derived hedge delay.
-const hedgeLatencyWindow = 256
-
-// hedgeMinSamples is how many observed latencies the p99 derivation needs
-// before auto-hedging engages; below it a client with HedgeDelay 0 does
-// not hedge (guessing a delay from nothing would hedge either never or
-// always).
-const hedgeMinSamples = 16
-
-// observeLatency records one successful attempt's latency for the
-// p99-derived hedge delay.
-func (c *Client) observeLatency(d time.Duration) {
-	c.latMu.Lock()
-	defer c.latMu.Unlock()
-	if c.lats == nil {
-		c.lats = make([]time.Duration, hedgeLatencyWindow)
-	}
-	c.lats[c.latNext] = d
-	c.latNext = (c.latNext + 1) % hedgeLatencyWindow
-	if c.latNext == 0 {
-		c.latFull = true
-	}
-}
-
-// latencyP99 is the nearest-rank p99 of the observed successful-attempt
-// latencies (0 until hedgeMinSamples have accumulated).
-func (c *Client) latencyP99() time.Duration {
-	c.latMu.Lock()
-	n := c.latNext
-	if c.latFull {
-		n = hedgeLatencyWindow
-	}
-	if n < hedgeMinSamples {
-		c.latMu.Unlock()
-		return 0
-	}
-	samples := make([]time.Duration, n)
-	copy(samples, c.lats[:n])
-	c.latMu.Unlock()
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	idx := (99*n + 99) / 100
-	if idx > 0 {
-		idx--
-	}
-	return samples[idx]
-}
-
 // hedgeDelay resolves the configured or p99-derived hedge delay; 0 means
 // hedging is not ready (no explicit delay, not enough samples).
 func (c *Client) hedgeDelay() time.Duration {
 	if c.cfg.HedgeDelay > 0 {
 		return c.cfg.HedgeDelay
 	}
-	d := c.latencyP99()
+	// Below latwindow.MinSamples there is no derived delay: guessing one
+	// from nothing would hedge either never or always.
+	d, _ := c.lats.P99()
 	if d > 0 && d < time.Millisecond {
 		// Floor: timer resolution below 1ms hedges on scheduler noise.
 		d = time.Millisecond
@@ -168,7 +121,7 @@ func (c *Client) generateHedged(ctx context.Context, nodes []string, req wire.Ge
 				if c.budget != nil {
 					c.budget.Deposit()
 				}
-				c.observeLatency(time.Since(o.started))
+				c.lats.Observe(time.Since(o.started))
 				if o.hedge {
 					c.hedgeWins.Add(1)
 				}

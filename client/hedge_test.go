@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cognicryptgen/internal/latwindow"
 	"cognicryptgen/wire"
 )
 
@@ -130,8 +131,8 @@ func TestHedgeAutoDelayNeedsSamples(t *testing.T) {
 		t.Fatalf("hedge fired without latency samples: %+v", s)
 	}
 	// After enough successes the p99 derivation engages.
-	for i := 0; i < hedgeMinSamples; i++ {
-		c.observeLatency(5 * time.Millisecond)
+	for i := 0; i < latwindow.MinSamples; i++ {
+		c.lats.Observe(5 * time.Millisecond)
 	}
 	if d := c.hedgeDelay(); d < time.Millisecond || d > 50*time.Millisecond {
 		t.Fatalf("derived hedge delay %v out of expected range", d)

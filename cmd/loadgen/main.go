@@ -10,26 +10,9 @@
 //	go run ./cmd/loadgen -nodes 4 -clients 8 -requests 2000
 //	go run ./cmd/loadgen -nodes 4 -rate 500 -duration 5s
 //	go run ./cmd/loadgen -smoke
-//	go run ./cmd/loadgen -chaos
-//	go run ./cmd/loadgen -warmrestart
-//	go run ./cmd/loadgen -hedge
 //
-// -chaos runs the node-kill failover drill instead of a load run: a
-// 3-node cluster under continuous SDK load has one node killed mid-run
-// and restarted; the drill fails unless every request succeeded with
-// byte-identical output, and it reports the failover latency tail,
-// recovery time, and breaker/retry spend.
-//
-// -warmrestart runs the crash/warm-restart durability drill: a
-// snapshot-enabled node is crashed mid-load (no drain, no parting
-// snapshot) and restarted; the drill fails unless the node restored its
-// cache (first-window hits, byte-identical answers) and a corrupted
-// snapshot degrades to a clean cold start.
-//
-// -hedge runs the hedged-request tail drill: one node gets injected
-// client-path latency (slow but healthy — invisible to breakers) and the
-// drill fails unless hedging wins races and beats the unhedged p99 within
-// the retry budget.
+// The failure drills (node kill, warm restart, hedging) run as stages of
+// `go run ./cmd/benchtables -table service`.
 //
 // -smoke ignores the workload flags and runs the cluster correctness
 // smoke instead: boots a standalone node and a 3-node cluster, routes all
@@ -71,9 +54,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "workload key sequence seed")
 		jsonOut    = flag.String("json", "", "write the run result as JSON to this file")
 		smoke      = flag.Bool("smoke", false, "run the cluster correctness smoke instead of a load run")
-		chaos      = flag.Bool("chaos", false, "run the node-kill failover drill instead of a load run")
-		warmboot   = flag.Bool("warmrestart", false, "run the crash/warm-restart durability drill instead of a load run")
-		hedge      = flag.Bool("hedge", false, "run the hedged-request tail drill instead of a load run")
 	)
 	flag.Parse()
 
@@ -84,25 +64,6 @@ func main() {
 		}
 		return
 	}
-	if *chaos {
-		if err := runChaos(ctx, *jsonOut); err != nil {
-			log.Fatalf("chaos drill FAILED: %v", err)
-		}
-		return
-	}
-	if *warmboot {
-		if err := runWarmRestart(ctx, *jsonOut); err != nil {
-			log.Fatalf("warm-restart drill FAILED: %v", err)
-		}
-		return
-	}
-	if *hedge {
-		if err := runHedge(ctx, *jsonOut); err != nil {
-			log.Fatalf("hedge drill FAILED: %v", err)
-		}
-		return
-	}
-
 	res, err := loadgen.Run(ctx, loadgen.Options{
 		Nodes:          *nodes,
 		Clients:        *clients,
@@ -148,125 +109,6 @@ func printResult(res loadgen.Result) {
 	if fhr := res.AggregateForwardHitRate(); fhr > 0 {
 		fmt.Printf("  aggregate forward hit rate: %.2f\n", fhr)
 	}
-}
-
-// runChaos runs the node-kill failover drill and enforces its contract:
-// zero failed requests and zero diverging responses across a kill and
-// restart of one node in three.
-func runChaos(ctx context.Context, jsonOut string) error {
-	res, err := loadgen.RunChaos(ctx, loadgen.ChaosOptions{})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("chaos drill: %d nodes, %d-key working set, probe every %.0fms\n",
-		res.Nodes, res.WorkingSet, res.ProbeIntervalMS)
-	fmt.Printf("  %d requests across kill+restart: %d errors, %d diverging responses\n",
-		res.Requests, res.Errors, res.Divergence)
-	fmt.Printf("  p99 steady %.2fms -> failover %.2fms; recovery to all-healthy %.1fms\n",
-		res.SteadyP99MS, res.FailoverP99MS, res.NodeKillRecoveryMS)
-	fmt.Printf("  absorbed by: %d client retries (%d budget exhaustions), %d server breaker rejects\n",
-		res.ClientRetries, res.RetryBudgetExhausted, res.BreakerRejects)
-	if jsonOut != "" {
-		b, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonOut, append(b, '\n'), 0o644); err != nil {
-			return err
-		}
-		log.Printf("wrote %s", jsonOut)
-	}
-	if res.Errors > 0 {
-		return fmt.Errorf("%d of %d requests failed — failover lost accepted requests", res.Errors, res.Requests)
-	}
-	if res.Divergence > 0 {
-		return fmt.Errorf("%d responses diverged from their key's first answer", res.Divergence)
-	}
-	if res.ClientRetries == 0 {
-		return fmt.Errorf("client spent no retries — the kill was not exercised under load")
-	}
-	log.Printf("chaos drill ok")
-	return nil
-}
-
-// runWarmRestart runs the crash/warm-restart durability drill and enforces
-// its contract: the crashed node restores entries and serves them
-// byte-identically on first contact, and a corrupted snapshot cold-starts
-// cleanly.
-func runWarmRestart(ctx context.Context, jsonOut string) error {
-	res, err := loadgen.RunWarmRestart(ctx, loadgen.WarmRestartOptions{})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("warm-restart drill: %d nodes, %d-key working set\n", res.Nodes, res.WorkingSet)
-	fmt.Printf("  crash -> restart %.1fms (plain restart %.1fms); restored %d entries from %d snapshot bytes\n",
-		res.WarmRestartMS, res.PlainRestartMS, res.RestoreEntries, res.SnapshotBytes)
-	fmt.Printf("  first-window hit rate on the restored node: %.2f\n", res.RestoreHitRate)
-	fmt.Printf("  %d background requests across the crash: %d errors, %d diverging responses; corrupt-snapshot cold start: %v\n",
-		res.Requests, res.Errors, res.Divergence, res.CorruptColdStart)
-	if jsonOut != "" {
-		b, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonOut, append(b, '\n'), 0o644); err != nil {
-			return err
-		}
-		log.Printf("wrote %s", jsonOut)
-	}
-	if res.Divergence > 0 {
-		return fmt.Errorf("%d responses diverged across the crash/restart", res.Divergence)
-	}
-	if res.RestoreHitRate <= 0 {
-		return fmt.Errorf("restored node served no first-window cache hits (hit rate %.2f)", res.RestoreHitRate)
-	}
-	if !res.CorruptColdStart {
-		return fmt.Errorf("corrupt-snapshot leg did not complete")
-	}
-	log.Printf("warm-restart drill ok")
-	return nil
-}
-
-// runHedge runs the hedged-request tail drill and enforces its contract:
-// hedges fire and win against a slow-but-healthy node, the hedged p99
-// beats the unhedged p99, and the retry budget is never exhausted.
-func runHedge(ctx context.Context, jsonOut string) error {
-	res, err := loadgen.RunHedge(ctx, loadgen.HedgeOptions{})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("hedge drill: %d nodes, %d-key working set, %.0fms injected latency on one node\n",
-		res.Nodes, res.WorkingSet, res.SlowLatencyMS)
-	fmt.Printf("  p99 unhedged %.2fms -> hedged %.2fms (%d hedges, %d wins, %d budget exhaustions)\n",
-		res.UnhedgedP99MS, res.HedgedP99MS, res.HedgedTotal, res.HedgeWins, res.RetryBudgetExhausted)
-	fmt.Printf("  %d requests per pass: %d errors, %d diverging responses\n", res.Requests, res.Errors, res.Divergence)
-	if jsonOut != "" {
-		b, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonOut, append(b, '\n'), 0o644); err != nil {
-			return err
-		}
-		log.Printf("wrote %s", jsonOut)
-	}
-	if res.Errors > 0 {
-		return fmt.Errorf("%d requests failed", res.Errors)
-	}
-	if res.Divergence > 0 {
-		return fmt.Errorf("%d hedged responses diverged", res.Divergence)
-	}
-	if res.HedgeWins == 0 {
-		return fmt.Errorf("no hedge ever won — hedging did not engage against the slow node")
-	}
-	if res.RetryBudgetExhausted != 0 {
-		return fmt.Errorf("hedging exhausted the retry budget %d time(s)", res.RetryBudgetExhausted)
-	}
-	if res.HedgedP99MS >= res.UnhedgedP99MS {
-		return fmt.Errorf("hedged p99 %.2fms did not beat unhedged %.2fms", res.HedgedP99MS, res.UnhedgedP99MS)
-	}
-	log.Printf("hedge drill ok")
-	return nil
 }
 
 // allUseCases is Table 1 plus the extensions — the 13 embedded templates.

@@ -3,14 +3,10 @@ package clustertest
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"cognicryptgen/client"
 	"cognicryptgen/internal/faultinject"
 	"cognicryptgen/service"
 	"cognicryptgen/templates"
@@ -18,8 +14,8 @@ import (
 )
 
 // The cluster chaos suite: whole-cluster failure drills on real listeners
-// — node kill/restart under live load, peer-channel partitions, slow
-// peers — asserting the cluster's contract holds through them: no
+// — node kill/restart under live load (nodekill_test.go), peer-channel
+// partitions, slow peers — asserting the cluster's contract holds through them: no
 // accepted request is lost, output stays byte-identical, health
 // converges after recovery, and nothing leaks.
 //
@@ -35,14 +31,7 @@ var chaosBase = func() string {
 	return src
 }()
 
-// chaosSource returns the i-th working-set template body: distinct bytes
-// per key (so each key is a distinct cache entry and rendezvous owner)
-// with deterministic output.
-func chaosSource(i int) (name, src string) {
-	return fmt.Sprintf("chaos%02d.go", i), chaosBase + fmt.Sprintf("\n// chaos working-set key %02d\n", i)
-}
-
-// waitForConvergence polls until cond returns true or the deadline
+// waitForCond polls until cond returns true or the deadline
 // passes.
 func waitForCond(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
@@ -54,174 +43,6 @@ func waitForCond(t *testing.T, d time.Duration, what string, cond func() bool) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatalf("never converged: %s", what)
-}
-
-// TestClusterChaosNodeKillFailover is the headline drill: a 3-node
-// cluster under continuous client load has one node killed mid-run and
-// later restarted. Every accepted request must succeed (client failover
-// absorbs the outage), every response must be byte-identical to the
-// first answer for its key, the survivors and the restarted node must
-// converge back to all-healthy, the client's breaker must re-admit the
-// restarted node, and goroutines must return to baseline.
-func TestClusterChaosNodeKillFailover(t *testing.T) {
-	defer faultinject.Reset()
-	baseline := runtime.NumGoroutine()
-
-	cl, err := Start(3, service.Config{Workers: 2, CacheSize: 64, PeerProbeInterval: 100 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	sdk, err := client.New(client.Config{
-		Nodes:              cl.URLs(),
-		MaxRetries:         4,
-		BackoffBase:        5 * time.Millisecond,
-		BackoffMax:         50 * time.Millisecond,
-		BreakerOpenTimeout: 200 * time.Millisecond,
-		RetryBudget:        50,
-		ProbeInterval:      -1, // health from request outcomes alone
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sdk.Close()
-
-	const workingSet = 6
-	var (
-		stop     = make(chan struct{})
-		wg       sync.WaitGroup
-		requests atomic.Int64
-		failures atomic.Int64
-		mu       sync.Mutex
-		firstOut = make(map[string]string, workingSet)
-	)
-	// Prime every working-set key once before the drill: first
-	// generations are expensive (especially under -race on small boxes)
-	// and would otherwise starve the timed phases of requests. The drill
-	// then runs against warm cluster caches — which is also the realistic
-	// shape: a node dies mid-steady-state, not mid-cold-start.
-	for i := 0; i < workingSet; i++ {
-		name, src := chaosSource(i)
-		resp, err := sdk.Generate(context.Background(), wire.GenerateRequest{Name: name, Source: src})
-		if err != nil {
-			t.Fatalf("priming %s: %v", name, err)
-		}
-		firstOut[name] = resp.Output
-	}
-
-	var divergence atomic.Int64
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				name, src := chaosSource(i % workingSet)
-				resp, err := sdk.Generate(context.Background(), wire.GenerateRequest{Name: name, Source: src})
-				requests.Add(1)
-				if err != nil {
-					failures.Add(1)
-					t.Errorf("request for %s failed: %v", name, err)
-					continue
-				}
-				mu.Lock()
-				if firstOut[name] != resp.Output {
-					divergence.Add(1)
-				}
-				mu.Unlock()
-				time.Sleep(2 * time.Millisecond)
-			}
-		}(w)
-	}
-
-	// Event-driven phases: each phase ends after the load demonstrably ran
-	// through it, however slow the box is.
-	phase := func(n int64, what string) {
-		t.Helper()
-		target := requests.Load() + n
-		deadline := time.Now().Add(30 * time.Second)
-		for requests.Load() < target {
-			if time.Now().After(deadline) {
-				t.Fatalf("load stalled during %s (%d requests)", what, requests.Load())
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-
-	const victim = 1
-	phase(20, "steady state")
-	cl.Kill(victim)
-	phase(25, "outage")
-	if err := cl.Restart(victim); err != nil {
-		t.Fatalf("restart: %v", err)
-	}
-	phase(25, "recovery")
-	close(stop)
-	wg.Wait()
-
-	if n := failures.Load(); n != 0 {
-		t.Fatalf("%d of %d requests failed across the node kill — failover lost accepted requests", n, requests.Load())
-	}
-	if n := divergence.Load(); n != 0 {
-		t.Errorf("%d responses diverged from their key's first answer — output must stay byte-identical through failover", n)
-	}
-	if n := requests.Load(); n < 50 {
-		t.Errorf("only %d requests completed — the drill did not actually exercise load", n)
-	}
-
-	// Health convergence: every surviving node re-admits the restarted
-	// one (probe-driven), and the restarted node sees its peers healthy.
-	victimURL := cl.Nodes[victim].URL
-	waitForCond(t, 5*time.Second, "survivors re-admitting the restarted node", func() bool {
-		for i, n := range cl.Nodes {
-			if i == victim {
-				continue
-			}
-			if !n.Srv.MetricsSnapshot().Peers[victimURL].Healthy {
-				return false
-			}
-		}
-		return true
-	})
-	waitForCond(t, 5*time.Second, "restarted node seeing its peers healthy", func() bool {
-		for _, ps := range cl.Nodes[victim].Srv.MetricsSnapshot().Peers {
-			if !ps.Healthy {
-				return false
-			}
-		}
-		return true
-	})
-
-	// The client breaker on the killed node must have opened during the
-	// outage (that is what kept doomed attempts off it) and re-admitted it
-	// afterward: a few fresh requests routed at it must close the breaker.
-	st := sdk.Stats()
-	if st.Retries == 0 {
-		t.Error("client spent no retries across a node kill — the outage was not exercised")
-	}
-	waitForCond(t, 5*time.Second, "client breaker closing for the restarted node", func() bool {
-		for i := 0; i < workingSet; i++ {
-			name, src := chaosSource(i)
-			if _, err := sdk.Generate(context.Background(), wire.GenerateRequest{Name: name, Source: src}); err != nil {
-				return false
-			}
-		}
-		return sdk.Stats().BreakerStates[victimURL] == "closed"
-	})
-
-	// Teardown everything, then the goroutine count must return to
-	// baseline — kills and restarts must not leak probers or workers.
-	sdk.Close()
-	cl.Close()
-	waitForCond(t, 5*time.Second, "goroutines back to baseline", func() bool {
-		runtime.GC()
-		return runtime.NumGoroutine() <= baseline+5
-	})
 }
 
 // TestClusterChaosPartitionFallback partitions one node's peer channel

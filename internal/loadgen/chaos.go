@@ -2,54 +2,39 @@ package loadgen
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"cognicryptgen/client"
 	"cognicryptgen/internal/clustertest"
 	"cognicryptgen/service"
-	"cognicryptgen/templates"
-	"cognicryptgen/wire"
 )
 
-// ChaosOptions configures one node-kill failover drill. Zero values get
-// drill defaults.
-type ChaosOptions struct {
-	// Nodes is the cluster size (needs >= 2 so a kill leaves survivors).
-	Nodes int
-	// Clients is the closed-loop concurrency during the drill.
-	Clients int
-	// WorkingSet is the number of distinct template keys under load.
-	WorkingSet int
-	// CacheSize is each node's result-LRU capacity.
-	CacheSize int
-	// Workers is each node's worker-pool size.
-	Workers int
-	// ProbeInterval is the peer health-probe period; recovery time is
-	// gated against 2x this value by cmd/benchtables.
-	ProbeInterval time.Duration
-	// Victim is the index of the node to kill (default 1).
-	Victim int
-	// PhaseRequests is how many completed requests each phase (steady,
-	// outage, recovery) must observe before the drill moves on. Counting
-	// requests instead of sleeping keeps the drill meaningful on slow or
-	// contended machines.
-	PhaseRequests int
-}
+const (
+	// chaosWorkingSet is the number of distinct keys under load.
+	chaosWorkingSet = 12
+	// chaosPhaseRequests is how many completed requests each phase
+	// (steady, outage, recovery) must observe before the drill moves on.
+	chaosPhaseRequests = 60
+)
+
+// Chaos drill phases, the index of each request's latency sample.
+const (
+	phaseSteady int32 = iota
+	phaseOutage
+	phaseRecovery
+)
 
 // ChaosResult is one drill's measurement — the E13 rows.
 type ChaosResult struct {
 	Nodes           int     `json:"nodes"`
 	WorkingSet      int     `json:"working_set"`
 	ProbeIntervalMS float64 `json:"probe_interval_ms"`
-	// Requests/Errors cover the whole drill; the kill contract is
-	// Errors == 0 (failover absorbs the outage, no accepted request lost).
+	// Requests/Errors cover the whole drill.
 	Requests int `json:"requests"`
 	Errors   int `json:"errors"`
 	// Divergence counts responses that differed from the first answer for
-	// their key; the contract is 0 (byte-identical output through failover).
+	// their key.
 	Divergence int `json:"divergence"`
 	// SteadyP99MS is the warm-cache p99 before the kill; FailoverP99MS the
 	// p99 of requests issued while the victim was down (retries, backoff,
@@ -68,235 +53,150 @@ type ChaosResult struct {
 	RetryBudgetExhausted int64 `json:"retry_budget_exhausted"`
 }
 
-// RunChaos boots a cluster, drives closed-loop load through the SDK, kills
-// one node mid-run, restarts it, and measures what the outage cost: the
-// failover latency tail, the recovery time back to all-healthy, and the
-// breaker/retry counters that absorbed it. Phases advance on completed
-// request counts, not wall time, so the drill exercises real load on any
-// machine.
-func RunChaos(ctx context.Context, opts ChaosOptions) (ChaosResult, error) {
-	if opts.Nodes <= 0 {
-		opts.Nodes = 3
+// Check is the node-kill drill's contract: failover absorbed the outage
+// (no request lost, output byte-identical), the kill was exercised under
+// load (the SDK spent retries), and the survivors re-admitted the
+// restarted node within two probe rounds. RunChaos itself fails if the
+// cluster's health never converges after the restart.
+func (r ChaosResult) Check() error {
+	var errs []error
+	if r.Errors > 0 {
+		errs = append(errs, fmt.Errorf("%d of %d requests failed — failover lost accepted requests", r.Errors, r.Requests))
 	}
-	if opts.Nodes < 2 {
-		return ChaosResult{}, fmt.Errorf("loadgen: chaos drill needs >= 2 nodes, got %d", opts.Nodes)
+	if r.Divergence > 0 {
+		errs = append(errs, fmt.Errorf("%d responses diverged from their key's first answer", r.Divergence))
 	}
-	if opts.Clients <= 0 {
-		opts.Clients = 2
+	if r.ClientRetries == 0 {
+		errs = append(errs, errors.New("client spent no retries — the kill was not exercised under load"))
 	}
-	if opts.WorkingSet <= 0 {
-		opts.WorkingSet = 12
+	if r.NodeKillRecoveryMS > 2*r.ProbeIntervalMS {
+		errs = append(errs, fmt.Errorf("node-kill recovery %.1fms > 2x probe interval %.0fms — probe success is not re-admitting the restarted node",
+			r.NodeKillRecoveryMS, r.ProbeIntervalMS))
 	}
-	if opts.CacheSize <= 0 {
-		opts.CacheSize = 64
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = 2
-	}
-	if opts.ProbeInterval <= 0 {
-		opts.ProbeInterval = 250 * time.Millisecond
-	}
-	if opts.Victim <= 0 || opts.Victim >= opts.Nodes {
-		opts.Victim = 1
-	}
-	if opts.PhaseRequests <= 0 {
-		opts.PhaseRequests = 60
-	}
+	return drillError("chaos", errs)
+}
 
-	cl, err := clustertest.Start(opts.Nodes, service.Config{
-		Workers:           opts.Workers,
-		CacheSize:         opts.CacheSize,
-		PeerProbeInterval: opts.ProbeInterval,
+// drillError joins a drill's failed checks under the drill's name.
+func drillError(drill string, errs []error) error {
+	if err := errors.Join(errs...); err != nil {
+		return fmt.Errorf("%s drill: %w", drill, err)
+	}
+	return nil
+}
+
+// RunChaos boots a cluster, drives closed-loop load through the SDK, kills
+// the owner of a working-set key mid-run, restarts it, and measures what
+// the outage cost: the failover latency tail, the recovery time back to
+// all-healthy, and the breaker/retry counters that absorbed it. After the
+// load stops it also requires the restarted node to see its peers healthy
+// and the SDK's breaker for it to close again.
+func RunChaos(ctx context.Context) (ChaosResult, error) {
+	res := ChaosResult{
+		Nodes:           drillNodes,
+		WorkingSet:      chaosWorkingSet,
+		ProbeIntervalMS: float64(drillProbeInterval) / float64(time.Millisecond),
+	}
+	cl, err := clustertest.Start(drillNodes, service.Config{
+		Workers:           drillWorkers,
+		CacheSize:         drillCacheSize,
+		PeerProbeInterval: drillProbeInterval,
 	})
 	if err != nil {
-		return ChaosResult{}, err
+		return res, err
 	}
 	defer cl.Close()
-
-	sdk, err := client.New(client.Config{
-		Nodes:              cl.URLs(),
-		MaxRetries:         4,
-		BackoffBase:        5 * time.Millisecond,
-		BackoffMax:         50 * time.Millisecond,
-		BreakerOpenTimeout: opts.ProbeInterval,
-		RetryBudget:        100,
-		ProbeInterval:      -1, // health from request outcomes alone
-	})
+	sdk, err := failoverClient(cl)
 	if err != nil {
-		return ChaosResult{}, err
+		return res, err
 	}
 	defer sdk.Close()
 
-	uc := templates.UseCases[2]
-	src, err := templates.Source(uc)
+	reqs, err := drillRequests("chaos", chaosWorkingSet)
 	if err != nil {
-		return ChaosResult{}, err
-	}
-	reqFor := func(k int) wire.GenerateRequest {
-		return wire.GenerateRequest{
-			Name:   fmt.Sprintf("chaos%03d.go", k),
-			Source: src + fmt.Sprintf("\n// chaos working-set key %03d\n", k),
-		}
-	}
-
-	// Prime every key once: the drill measures failover of a steady-state
-	// cluster (warm caches), not cold-start cost.
-	firstOut := make([]string, opts.WorkingSet)
-	for k := 0; k < opts.WorkingSet; k++ {
-		resp, err := sdk.Generate(ctx, reqFor(k))
-		if err != nil {
-			return ChaosResult{}, fmt.Errorf("loadgen: priming key %d: %w", k, err)
-		}
-		firstOut[k] = resp.Output
-	}
-
-	const (
-		phaseSteady = iota
-		phaseOutage
-		phaseRecovery
-	)
-	var (
-		phase      atomic.Int32
-		requests   atomic.Int64
-		errCount   atomic.Int64
-		divergence atomic.Int64
-		latMu      sync.Mutex
-		phaseLats  [3][]time.Duration
-		stop       = make(chan struct{})
-		wg         sync.WaitGroup
-	)
-	for c := 0; c < opts.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := c; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				k := i % opts.WorkingSet
-				ph := phase.Load()
-				t0 := time.Now()
-				resp, err := sdk.Generate(ctx, reqFor(k))
-				d := time.Since(t0)
-				requests.Add(1)
-				if err != nil {
-					errCount.Add(1)
-					continue
-				}
-				if resp.Output != firstOut[k] {
-					divergence.Add(1)
-				}
-				latMu.Lock()
-				phaseLats[ph] = append(phaseLats[ph], d)
-				latMu.Unlock()
-			}
-		}(c)
-	}
-
-	// Each phase ends once PhaseRequests completions demonstrably ran
-	// through it.
-	waitPhase := func(what string) error {
-		target := requests.Load() + int64(opts.PhaseRequests)
-		deadline := time.Now().Add(60 * time.Second)
-		for requests.Load() < target {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("loadgen: load stalled during %s (%d requests)", what, requests.Load())
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		return nil
-	}
-
-	var res ChaosResult
-	fail := func(err error) (ChaosResult, error) {
-		close(stop)
-		wg.Wait()
 		return res, err
 	}
-	if err := waitPhase("steady state"); err != nil {
-		return fail(err)
+	firstOut, err := prime(ctx, sdk, reqs)
+	if err != nil {
+		return res, err
 	}
-	phase.Store(phaseOutage)
-	cl.Kill(opts.Victim)
-	if err := waitPhase("outage"); err != nil {
-		return fail(err)
-	}
-	// The outage must also last long enough for every survivor's prober to
-	// notice the kill (failure streak -> breaker open). Restarting before
-	// that would measure a "recovery" from an outage nobody detected.
-	victimURL := cl.Nodes[opts.Victim].URL
-	noticed := func() bool {
+	victim := ownerIndex(cl, sdk, reqs[0])
+	victimURL := cl.Nodes[victim].URL
+	// survivorsSee reports whether every survivor's prober currently
+	// judges the victim healthy (want true) or ejected (want false).
+	survivorsSee := func(healthy bool) bool {
 		for i, n := range cl.Nodes {
-			if i == opts.Victim {
-				continue
-			}
-			if n.Srv.MetricsSnapshot().Peers[victimURL].Healthy {
+			if i != victim && n.Srv.MetricsSnapshot().Peers[victimURL].Healthy != healthy {
 				return false
 			}
 		}
 		return true
 	}
-	for deadline := time.Now().Add(30 * time.Second); !noticed(); {
-		if time.Now().After(deadline) {
-			return fail(fmt.Errorf("loadgen: survivors never noticed the killed node"))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	phase.Store(phaseRecovery)
-	if err := cl.Restart(opts.Victim); err != nil {
-		return fail(err)
-	}
-	// Recovery: the survivors' probers must re-admit the restarted node.
-	restartDone := time.Now()
-	for {
-		allHealthy := true
-		for i, n := range cl.Nodes {
-			if i == opts.Victim {
-				continue
-			}
-			if !n.Srv.MetricsSnapshot().Peers[victimURL].Healthy {
-				allHealthy = false
-				break
-			}
-		}
-		if allHealthy {
-			break
-		}
-		if time.Since(restartDone) > 30*time.Second {
-			return fail(fmt.Errorf("loadgen: survivors never re-admitted the restarted node"))
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	recovery := time.Since(restartDone)
-	if err := waitPhase("recovery"); err != nil {
-		return fail(err)
-	}
-	close(stop)
-	wg.Wait()
 
-	var rejects int64
+	load := startLoad(ctx, sdk, reqs, firstOut)
+	recovery, err := func() (time.Duration, error) {
+		if err := load.await(ctx, chaosPhaseRequests, "steady state"); err != nil {
+			return 0, err
+		}
+		load.phase.Store(phaseOutage)
+		cl.Kill(victim)
+		if err := load.await(ctx, chaosPhaseRequests, "outage"); err != nil {
+			return 0, err
+		}
+		// The outage must also last until every survivor's prober noticed
+		// the kill; restarting earlier would measure a "recovery" from an
+		// outage nobody detected.
+		if err := waitFor(ctx, drillStallLimit, "survivors never noticed the killed node", func() bool { return survivorsSee(false) }); err != nil {
+			return 0, err
+		}
+		load.phase.Store(phaseRecovery)
+		if err := cl.Restart(victim); err != nil {
+			return 0, err
+		}
+		restarted := time.Now()
+		if err := waitFor(ctx, drillConvergeLimit, "survivors never re-admitted the restarted node", func() bool { return survivorsSee(true) }); err != nil {
+			return 0, err
+		}
+		recovery := time.Since(restarted)
+		return recovery, load.await(ctx, chaosPhaseRequests, "recovery")
+	}()
+	load.halt()
+	if err != nil {
+		return res, err
+	}
+
+	if err := waitFor(ctx, drillConvergeLimit, "restarted node never saw its peers healthy", func() bool {
+		for _, ps := range cl.Nodes[victim].Srv.MetricsSnapshot().Peers {
+			if !ps.Healthy {
+				return false
+			}
+		}
+		return true
+	}); err != nil {
+		return res, err
+	}
+	// The SDK's breaker for the victim opened during the outage (that kept
+	// doomed attempts off it); requests routed at the restarted node must
+	// close it again.
+	if err := waitFor(ctx, drillConvergeLimit, "client breaker never closed for the restarted node", func() bool {
+		if _, err := prime(ctx, sdk, reqs); err != nil {
+			return false
+		}
+		return sdk.Stats().BreakerStates[victimURL] == "closed"
+	}); err != nil {
+		return res, err
+	}
+
 	for _, n := range cl.Nodes {
-		rejects += n.Srv.MetricsSnapshot().BreakerRejects
+		res.BreakerRejects += n.Srv.MetricsSnapshot().BreakerRejects
 	}
 	st := sdk.Stats()
-	res = ChaosResult{
-		Nodes:                opts.Nodes,
-		WorkingSet:           opts.WorkingSet,
-		ProbeIntervalMS:      float64(opts.ProbeInterval) / float64(time.Millisecond),
-		Requests:             int(requests.Load()),
-		Errors:               int(errCount.Load()),
-		Divergence:           int(divergence.Load()),
-		NodeKillRecoveryMS:   float64(recovery) / float64(time.Millisecond),
-		BreakerRejects:       rejects,
-		ClientRetries:        st.Retries,
-		RetryBudgetExhausted: st.RetryBudgetExhausted,
-	}
-	_, res.SteadyP99MS = quantilesMS(phaseLats[phaseSteady])
-	_, res.FailoverP99MS = quantilesMS(phaseLats[phaseOutage])
+	res.Requests = int(load.requests.Load())
+	res.Errors = int(load.errors.Load())
+	res.Divergence = int(load.divergence.Load())
+	res.NodeKillRecoveryMS = float64(recovery) / float64(time.Millisecond)
+	res.ClientRetries = st.Retries
+	res.RetryBudgetExhausted = st.RetryBudgetExhausted
+	_, res.SteadyP99MS = quantilesMS(load.lats[phaseSteady])
+	_, res.FailoverP99MS = quantilesMS(load.lats[phaseOutage])
 	return res, ctx.Err()
 }

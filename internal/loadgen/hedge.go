@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -10,30 +11,21 @@ import (
 	"cognicryptgen/internal/clustertest"
 	"cognicryptgen/internal/faultinject"
 	"cognicryptgen/service"
-	"cognicryptgen/templates"
 	"cognicryptgen/wire"
 )
 
-// HedgeOptions configures one hedged-request tail drill. Zero values get
-// drill defaults.
-type HedgeOptions struct {
-	// Nodes is the cluster size (>= 2 so a hedge has somewhere to go).
-	Nodes int
-	// WorkingSet is the number of distinct (pre-warmed) template keys.
-	WorkingSet int
-	// Requests is how many measured requests each pass issues.
-	Requests int
-	// CacheSize / Workers are each node's sizing.
-	CacheSize int
-	Workers   int
-	// Victim is the node the injected latency targets (default 1).
-	Victim int
-	// SlowLatency is the latency injected on every client request to the
-	// victim — slow but not failing, the pathology breakers cannot see.
-	SlowLatency time.Duration
-	// HedgeDelay is the explicit hedge delay for the hedged pass.
-	HedgeDelay time.Duration
-}
+const (
+	// hedgeWorkingSet is the number of distinct (pre-warmed) keys.
+	hedgeWorkingSet = 12
+	// hedgeRequests is how many measured requests each pass issues; it is
+	// also the hedged client's retry budget.
+	hedgeRequests = 120
+	// hedgeSlowLatency is injected on every client request to the victim —
+	// slow but not failing, the pathology breakers cannot see.
+	hedgeSlowLatency = 300 * time.Millisecond
+	// hedgeDelay is the hedged pass's explicit hedge delay.
+	hedgeDelay = 25 * time.Millisecond
+)
 
 // HedgeResult is one tail drill's measurement.
 type HedgeResult struct {
@@ -42,122 +34,105 @@ type HedgeResult struct {
 	Requests      int     `json:"requests"`
 	SlowLatencyMS float64 `json:"slow_latency_ms"`
 	// UnhedgedP99MS inherits the slow node's injected latency (its keys
-	// are ~1/Nodes of traffic, far more than 1%); HedgedP99MS must beat it.
+	// are ~1/Nodes of traffic, far more than 1%).
 	UnhedgedP99MS float64 `json:"unhedged_p99_ms"`
 	HedgedP99MS   float64 `json:"hedged_p99_ms"`
-	// HedgedTotal / HedgeWins are the hedged pass's SDK counters; the
-	// contract is HedgeWins > 0 (the hedge actually rescued requests) with
-	// RetryBudgetExhausted == 0 (within budget, no amplification).
+	// HedgedTotal / HedgeWins / RetryBudgetExhausted are the hedged pass's
+	// SDK counters.
 	HedgedTotal          int64 `json:"hedged_total"`
 	HedgeWins            int64 `json:"hedge_wins"`
 	RetryBudgetExhausted int64 `json:"retry_budget_exhausted"`
-	// Errors and Divergence cover both passes (contract: 0 each — hedged
-	// answers are byte-identical to the primed ones).
+	// Errors and Divergence cover both passes.
 	Errors     int `json:"errors"`
 	Divergence int `json:"divergence"`
 }
 
+// Check is the tail drill's contract: every request succeeded with output
+// byte-identical to the primed answer, hedges actually rescued requests
+// (wins > 0) within the retry budget (no exhaustion, so no amplification),
+// and the hedged p99 beat the unhedged one.
+func (r HedgeResult) Check() error {
+	var errs []error
+	if r.Errors > 0 {
+		errs = append(errs, fmt.Errorf("%d requests failed", r.Errors))
+	}
+	if r.Divergence > 0 {
+		errs = append(errs, fmt.Errorf("%d hedged responses diverged", r.Divergence))
+	}
+	if r.HedgeWins == 0 {
+		errs = append(errs, errors.New("no hedge ever won — hedging did not engage against the slow node"))
+	}
+	if r.RetryBudgetExhausted != 0 {
+		errs = append(errs, fmt.Errorf("hedging exhausted the retry budget %d time(s)", r.RetryBudgetExhausted))
+	}
+	if r.HedgedP99MS >= r.UnhedgedP99MS {
+		errs = append(errs, fmt.Errorf("hedged p99 %.2fms did not beat unhedged %.2fms", r.HedgedP99MS, r.UnhedgedP99MS))
+	}
+	return drillError("hedge", errs)
+}
+
 // RunHedge measures what hedged requests buy against a slow-but-healthy
-// node: one cluster member gets injected client-path latency (it still
-// answers, so breakers and probes never eject it), an unhedged pass
-// inherits its latency as the cluster p99, and a hedged pass must beat
-// that p99 by racing a budget-gated second attempt after HedgeDelay. The
-// hedge lands on the next-ranked node, whose un-faulted peer channel
+// node: the owner of a working-set key gets injected client-path latency
+// (it still answers, so breakers and probes never eject it), an unhedged
+// pass inherits its latency as the cluster p99, and a hedged pass must
+// beat that p99 by racing a budget-gated second attempt after hedgeDelay.
+// The hedge lands on the next-ranked node, whose un-faulted peer channel
 // reaches the owner's warm cache.
-func RunHedge(ctx context.Context, opts HedgeOptions) (HedgeResult, error) {
-	if opts.Nodes <= 0 {
-		opts.Nodes = 3
-	}
-	if opts.Nodes < 2 {
-		return HedgeResult{}, fmt.Errorf("loadgen: hedge drill needs >= 2 nodes, got %d", opts.Nodes)
-	}
-	if opts.WorkingSet <= 0 {
-		opts.WorkingSet = 12
-	}
-	if opts.Requests <= 0 {
-		opts.Requests = 120
-	}
-	if opts.CacheSize <= 0 {
-		opts.CacheSize = 64
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = 2
-	}
-	if opts.Victim <= 0 || opts.Victim >= opts.Nodes {
-		opts.Victim = 1
-	}
-	if opts.SlowLatency <= 0 {
-		opts.SlowLatency = 300 * time.Millisecond
-	}
-	if opts.HedgeDelay <= 0 {
-		opts.HedgeDelay = 25 * time.Millisecond
-	}
-
+func RunHedge(ctx context.Context) (HedgeResult, error) {
 	res := HedgeResult{
-		Nodes:         opts.Nodes,
-		WorkingSet:    opts.WorkingSet,
-		Requests:      opts.Requests,
-		SlowLatencyMS: float64(opts.SlowLatency) / float64(time.Millisecond),
+		Nodes:         drillNodes,
+		WorkingSet:    hedgeWorkingSet,
+		Requests:      hedgeRequests,
+		SlowLatencyMS: float64(hedgeSlowLatency) / float64(time.Millisecond),
 	}
-
-	cl, err := clustertest.Start(opts.Nodes, service.Config{
-		Workers:   opts.Workers,
-		CacheSize: opts.CacheSize,
-	})
+	cl, err := clustertest.Start(drillNodes, service.Config{Workers: drillWorkers, CacheSize: drillCacheSize})
 	if err != nil {
 		return res, err
 	}
 	defer cl.Close()
 
-	uc := templates.UseCases[2]
-	src, err := templates.Source(uc)
+	reqs, err := drillRequests("hedge", hedgeWorkingSet)
 	if err != nil {
 		return res, err
 	}
-	reqFor := func(k int) wire.GenerateRequest {
-		return wire.GenerateRequest{
-			Name:   fmt.Sprintf("hedge%03d.go", k),
-			Source: src + fmt.Sprintf("\n// hedge working-set key %03d\n", k),
-		}
-	}
-
-	// Prime every key through a plain SDK before any fault is armed, so
-	// every owner's cache is warm: the drill measures tail latency of a
-	// steady-state cluster, not generation cost.
-	prime, err := client.New(client.Config{Nodes: cl.URLs(), MaxRetries: 4, ProbeInterval: -1})
+	// Prime every key before any fault is armed, so every owner's cache is
+	// warm: the drill measures tail latency, not generation cost.
+	primer, err := plainClient(cl)
 	if err != nil {
 		return res, err
 	}
-	firstOut := make([]string, opts.WorkingSet)
-	for k := 0; k < opts.WorkingSet; k++ {
-		resp, err := prime.Generate(ctx, reqFor(k))
-		if err != nil {
-			prime.Close()
-			return res, fmt.Errorf("loadgen: priming key %d: %w", k, err)
-		}
-		firstOut[k] = resp.Output
+	defer primer.Close()
+	firstOut, err := prime(ctx, primer, reqs)
+	if err != nil {
+		return res, err
 	}
-	prime.Close()
+	victim := ownerIndex(cl, primer, reqs[0])
 
 	// Slow down every SDK request to the victim — host-targeted, so the
 	// peer channel between nodes stays fast (that is the road a hedge's
 	// forwarded attempt takes to the owner's cache).
-	victimHost := strings.TrimPrefix(cl.Nodes[opts.Victim].URL, "http://")
+	victimHost := strings.TrimPrefix(cl.Nodes[victim].URL, "http://")
 	point := faultinject.PointClientTransport + "@" + victimHost
-	faultinject.Arm(point, faultinject.Fault{Mode: faultinject.ModeLatency, Latency: opts.SlowLatency})
+	faultinject.Arm(point, faultinject.Fault{Mode: faultinject.ModeLatency, Latency: hedgeSlowLatency})
 	defer faultinject.Disarm(point)
 
-	pass := func(sdk *client.Client) ([]time.Duration, error) {
+	pass := func(cfg client.Config) (p99MS float64, st wire.ClientStats, err error) {
+		cfg.Nodes, cfg.MaxRetries, cfg.ProbeInterval = cl.URLs(), 4, -1
+		sdk, err := client.New(cfg)
+		if err != nil {
+			return 0, st, err
+		}
+		defer sdk.Close()
 		// One unmeasured warm-up teaches the SDK the rule-set fingerprint,
 		// so the measured requests route to their true owners.
-		if _, err := sdk.Generate(ctx, reqFor(0)); err != nil {
-			return nil, err
+		if _, err := sdk.Generate(ctx, reqs[0]); err != nil {
+			return 0, st, err
 		}
-		lats := make([]time.Duration, 0, opts.Requests)
-		for i := 0; i < opts.Requests; i++ {
-			k := i % opts.WorkingSet
+		lats := make([]time.Duration, 0, hedgeRequests)
+		for i := 0; i < hedgeRequests; i++ {
+			k := i % hedgeWorkingSet
 			t0 := time.Now()
-			resp, err := sdk.Generate(ctx, reqFor(k))
+			resp, err := sdk.Generate(ctx, reqs[k])
 			if err != nil {
 				res.Errors++
 				continue
@@ -167,38 +142,18 @@ func RunHedge(ctx context.Context, opts HedgeOptions) (HedgeResult, error) {
 			}
 			lats = append(lats, time.Since(t0))
 		}
-		return lats, nil
+		_, p99MS = quantilesMS(lats)
+		return p99MS, sdk.Stats(), nil
 	}
 
-	unhedged, err := client.New(client.Config{Nodes: cl.URLs(), MaxRetries: 4, ProbeInterval: -1})
+	if res.UnhedgedP99MS, _, err = pass(client.Config{}); err != nil {
+		return res, err
+	}
+	var st wire.ClientStats
+	res.HedgedP99MS, st, err = pass(client.Config{Hedge: true, HedgeDelay: hedgeDelay, RetryBudget: hedgeRequests})
 	if err != nil {
 		return res, err
 	}
-	lats, err := pass(unhedged)
-	unhedged.Close()
-	if err != nil {
-		return res, err
-	}
-	_, res.UnhedgedP99MS = quantilesMS(lats)
-
-	hedged, err := client.New(client.Config{
-		Nodes:         cl.URLs(),
-		MaxRetries:    4,
-		Hedge:         true,
-		HedgeDelay:    opts.HedgeDelay,
-		RetryBudget:   float64(opts.Requests),
-		ProbeInterval: -1,
-	})
-	if err != nil {
-		return res, err
-	}
-	lats, err = pass(hedged)
-	st := hedged.Stats()
-	hedged.Close()
-	if err != nil {
-		return res, err
-	}
-	_, res.HedgedP99MS = quantilesMS(lats)
 	res.HedgedTotal = st.HedgedTotal
 	res.HedgeWins = st.HedgeWins
 	res.RetryBudgetExhausted = st.RetryBudgetExhausted

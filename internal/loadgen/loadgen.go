@@ -2,7 +2,8 @@
 // clusters (internal/clustertest) via the client SDK and reports
 // throughput, latency quantiles, and per-node cache/forward/shed counters.
 // It is the measurement engine behind cmd/loadgen and the cluster rows in
-// cmd/benchtables.
+// cmd/benchtables, and it holds the failure drills (node kill, warm
+// restart, hedging) that cmd/benchtables and the cluster chaos suite run.
 //
 // The default workload is the cluster's reason to exist in miniature: a
 // working set of distinct templates larger than one node's LRU. A single

@@ -2,46 +2,27 @@ package loadgen
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"cognicryptgen/client"
 	"cognicryptgen/internal/clustertest"
 	"cognicryptgen/internal/persist"
 	"cognicryptgen/service"
-	"cognicryptgen/templates"
 	"cognicryptgen/wire"
 )
 
-// WarmRestartOptions configures one crash/warm-restart durability drill.
-// Zero values get drill defaults.
-type WarmRestartOptions struct {
-	// Nodes is the cluster size (>= 2 so the cluster survives the kill).
-	Nodes int
-	// Clients is the closed-loop concurrency kept running across the kill.
-	Clients int
-	// WorkingSet is the number of distinct template keys under load. Keep
-	// it a healthy multiple of Nodes so the victim owns a fair share.
-	WorkingSet int
-	// CacheSize is each node's result-LRU capacity.
-	CacheSize int
-	// Workers is each node's worker-pool size.
-	Workers int
-	// ProbeInterval is the peer health-probe period.
-	ProbeInterval time.Duration
-	// SnapshotInterval is each node's periodic snapshot cadence; the drill
-	// kills crash-shaped, so only periodically-persisted state survives.
-	SnapshotInterval time.Duration
-	// Victim is the index of the node to crash (default 1).
-	Victim int
-	// Dir is where the per-node snapshot directories live ("" = a fresh
-	// temp directory, removed when the drill ends).
-	Dir string
-}
+const (
+	// warmWorkingSet is the number of distinct keys under load, a healthy
+	// multiple of the node count so the victim owns a fair share.
+	warmWorkingSet = 24
+	// warmSnapshotInterval is each node's periodic snapshot cadence; the
+	// drill crashes its victim, so only periodically persisted state
+	// survives.
+	warmSnapshotInterval = 50 * time.Millisecond
+)
 
 // WarmRestartResult is one durability drill's measurement.
 type WarmRestartResult struct {
@@ -49,8 +30,7 @@ type WarmRestartResult struct {
 	WorkingSet int `json:"working_set"`
 	// PlainRestartMS is the baseline: how long a snapshot-less node takes
 	// to come back. WarmRestartMS is the same restart with a snapshot to
-	// restore; the smoke gate bounds warm/plain so durability can never
-	// quietly turn boot into the new outage.
+	// restore.
 	PlainRestartMS float64 `json:"plain_restart_ms"`
 	WarmRestartMS  float64 `json:"warm_restart_ms"`
 	// RestoreEntries is what the restarted victim reported restoring;
@@ -63,7 +43,7 @@ type WarmRestartResult struct {
 	RestoreHitRate float64 `json:"restore_hit_rate"`
 	// Requests/Errors cover the background load across the crash;
 	// Divergence counts any response that differed from the primed answer
-	// for its key (contract: 0, byte-identical output through the crash).
+	// for its key.
 	Requests   int `json:"requests"`
 	Errors     int `json:"errors"`
 	Divergence int `json:"divergence"`
@@ -73,55 +53,45 @@ type WarmRestartResult struct {
 	CorruptColdStart bool `json:"corrupt_cold_start"`
 }
 
+// Check is the durability drill's contract: output stayed byte-identical
+// through the crash, the corrupt-snapshot leg cold-started cleanly, the
+// restored node's first window was mostly warm (hit rate >= 0.5 — it owned
+// those keys before the crash), and restoring did not turn restart into
+// the new outage (warm restart within 5x a plain one, with a 100ms floor
+// because sub-100ms restarts are scheduler-noise-dominated).
+func (r WarmRestartResult) Check() error {
+	var errs []error
+	if r.Divergence > 0 {
+		errs = append(errs, fmt.Errorf("%d responses diverged across the crash/restart", r.Divergence))
+	}
+	if !r.CorruptColdStart {
+		errs = append(errs, errors.New("corrupt-snapshot leg did not complete"))
+	}
+	if r.RestoreHitRate < 0.5 {
+		errs = append(errs, fmt.Errorf("first-window hit rate %.2f < 0.5 — the snapshot is not restoring the working set", r.RestoreHitRate))
+	}
+	if base := max(r.PlainRestartMS, 100); r.WarmRestartMS > 5*base {
+		errs = append(errs, fmt.Errorf("warm restart %.1fms > 5x plain restart baseline %.1fms — snapshot restore dominates boot", r.WarmRestartMS, base))
+	}
+	return drillError("warm-restart", errs)
+}
+
 // RunWarmRestart proves warm-restart durability end-to-end: a cluster
 // under load has one node crash (no drain, no parting snapshot), the node
 // restarts, and the drill measures what the periodic snapshot bought —
 // restored entries, first-window hit rate, restart cost vs a plain
 // snapshot-less restart — then corrupts the snapshot and proves the same
 // crash degrades to a clean cold start instead of a crash loop.
-func RunWarmRestart(ctx context.Context, opts WarmRestartOptions) (WarmRestartResult, error) {
-	if opts.Nodes <= 0 {
-		opts.Nodes = 3
+func RunWarmRestart(ctx context.Context) (WarmRestartResult, error) {
+	res := WarmRestartResult{Nodes: drillNodes, WorkingSet: warmWorkingSet}
+	dir, err := os.MkdirTemp("", "ccg-warmrestart-")
+	if err != nil {
+		return res, err
 	}
-	if opts.Nodes < 2 {
-		return WarmRestartResult{}, fmt.Errorf("loadgen: warm-restart drill needs >= 2 nodes, got %d", opts.Nodes)
-	}
-	if opts.Clients <= 0 {
-		opts.Clients = 2
-	}
-	if opts.WorkingSet <= 0 {
-		opts.WorkingSet = 24
-	}
-	if opts.CacheSize <= 0 {
-		opts.CacheSize = 64
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = 2
-	}
-	if opts.ProbeInterval <= 0 {
-		opts.ProbeInterval = 250 * time.Millisecond
-	}
-	if opts.SnapshotInterval <= 0 {
-		opts.SnapshotInterval = 50 * time.Millisecond
-	}
-	if opts.Victim <= 0 || opts.Victim >= opts.Nodes {
-		opts.Victim = 1
-	}
-	if opts.Dir == "" {
-		dir, err := os.MkdirTemp("", "ccg-warmrestart-")
-		if err != nil {
-			return WarmRestartResult{}, err
-		}
-		defer os.RemoveAll(dir)
-		opts.Dir = dir
-	}
+	defer os.RemoveAll(dir)
 
-	res := WarmRestartResult{Nodes: opts.Nodes, WorkingSet: opts.WorkingSet}
-
-	// Baseline: a snapshot-less single node's kill-to-serving time. The
-	// warm restart below is gated against a multiple of this, so "restore
-	// the cache at boot" can never quietly become the dominant boot cost.
-	plain, err := clustertest.Start(1, service.Config{Workers: opts.Workers, CacheSize: opts.CacheSize})
+	// Baseline: a snapshot-less single node's kill-to-serving time.
+	plain, err := clustertest.Start(1, service.Config{Workers: drillWorkers, CacheSize: drillCacheSize})
 	if err != nil {
 		return res, err
 	}
@@ -134,56 +104,36 @@ func RunWarmRestart(ctx context.Context, opts WarmRestartOptions) (WarmRestartRe
 	res.PlainRestartMS = float64(time.Since(t0)) / float64(time.Millisecond)
 	plain.Close()
 
-	cl, err := clustertest.Start(opts.Nodes, service.Config{
-		Workers:           opts.Workers,
-		CacheSize:         opts.CacheSize,
-		PeerProbeInterval: opts.ProbeInterval,
-		SnapshotDir:       opts.Dir,
-		SnapshotInterval:  opts.SnapshotInterval,
+	cl, err := clustertest.Start(drillNodes, service.Config{
+		Workers:           drillWorkers,
+		CacheSize:         drillCacheSize,
+		PeerProbeInterval: drillProbeInterval,
+		SnapshotDir:       dir,
+		SnapshotInterval:  warmSnapshotInterval,
 	})
 	if err != nil {
 		return res, err
 	}
 	defer cl.Close()
-
-	sdk, err := client.New(client.Config{
-		Nodes:              cl.URLs(),
-		MaxRetries:         4,
-		BackoffBase:        5 * time.Millisecond,
-		BackoffMax:         50 * time.Millisecond,
-		BreakerOpenTimeout: opts.ProbeInterval,
-		RetryBudget:        100,
-		ProbeInterval:      -1,
-	})
+	sdk, err := failoverClient(cl)
 	if err != nil {
 		return res, err
 	}
 	defer sdk.Close()
 
-	uc := templates.UseCases[2]
-	src, err := templates.Source(uc)
+	reqs, err := drillRequests("warm", warmWorkingSet)
 	if err != nil {
 		return res, err
 	}
-	reqFor := func(k int) wire.GenerateRequest {
-		return wire.GenerateRequest{
-			Name:   fmt.Sprintf("warm%03d.go", k),
-			Source: src + fmt.Sprintf("\n// warm-restart working-set key %03d\n", k),
-		}
-	}
-
-	firstOut := make([]string, opts.WorkingSet)
-	for k := 0; k < opts.WorkingSet; k++ {
-		resp, err := sdk.Generate(ctx, reqFor(k))
-		if err != nil {
-			return res, fmt.Errorf("loadgen: priming key %d: %w", k, err)
-		}
-		firstOut[k] = resp.Output
+	firstOut, err := prime(ctx, sdk, reqs)
+	if err != nil {
+		return res, err
 	}
 
 	// Make the primed state durable at a deterministic point; past here the
 	// drill does not depend on the periodic writer's timing.
-	victim := cl.Nodes[opts.Victim]
+	vi := ownerIndex(cl, sdk, reqs[0])
+	victim := cl.Nodes[vi]
 	if err := victim.Srv.SnapshotNow(); err != nil {
 		return res, fmt.Errorf("loadgen: victim snapshot: %w", err)
 	}
@@ -192,55 +142,20 @@ func RunWarmRestart(ctx context.Context, opts WarmRestartOptions) (WarmRestartRe
 		return res, fmt.Errorf("loadgen: victim reports no durable snapshot bytes")
 	}
 
-	// Background load keeps running across the crash, exactly like the
-	// chaos drill: the SDK's failover must absorb the outage.
-	var (
-		requests   atomic.Int64
-		errCount   atomic.Int64
-		divergence atomic.Int64
-		stop       = make(chan struct{})
-		wg         sync.WaitGroup
-	)
-	for c := 0; c < opts.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := c; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				k := i % opts.WorkingSet
-				resp, err := sdk.Generate(ctx, reqFor(k))
-				requests.Add(1)
-				if err != nil {
-					errCount.Add(1)
-					continue
-				}
-				if resp.Output != firstOut[k] {
-					divergence.Add(1)
-				}
-			}
-		}(c)
-	}
-	stopLoad := func() {
-		close(stop)
-		wg.Wait()
-		res.Requests = int(requests.Load())
-		res.Errors = int(errCount.Load())
-		res.Divergence = int(divergence.Load())
-	}
-
-	// Crash (no drain, no parting snapshot) and time the warm restart.
-	cl.Kill(opts.Victim)
+	// Background load keeps running across the crash: the SDK's failover
+	// must absorb the outage.
+	load := startLoad(ctx, sdk, reqs, firstOut)
+	cl.Kill(vi)
 	t0 = time.Now()
-	if err := cl.Restart(opts.Victim); err != nil {
-		stopLoad()
+	err = cl.Restart(vi)
+	res.WarmRestartMS = float64(time.Since(t0)) / float64(time.Millisecond)
+	load.halt()
+	res.Requests = int(load.requests.Load())
+	res.Errors = int(load.errors.Load())
+	res.Divergence = int(load.divergence.Load())
+	if err != nil {
 		return res, err
 	}
-	res.WarmRestartMS = float64(time.Since(t0)) / float64(time.Millisecond)
-	stopLoad()
 
 	res.RestoreEntries = victim.Srv.MetricsSnapshot().RestoreEntries
 	if res.RestoreEntries <= 0 {
@@ -250,20 +165,11 @@ func RunWarmRestart(ctx context.Context, opts WarmRestartOptions) (WarmRestartRe
 	// First measurement window: a fresh SDK (closed breakers) walks the
 	// whole working set; the victim's own hit/miss counters — zeroed by the
 	// restart — are the restored cache's first-contact hit rate.
-	probe, err := client.New(client.Config{Nodes: cl.URLs(), MaxRetries: 4, ProbeInterval: -1})
+	diverged, err := walk(ctx, cl, reqs, firstOut)
 	if err != nil {
-		return res, err
+		return res, fmt.Errorf("loadgen: post-restart pass: %w", err)
 	}
-	defer probe.Close()
-	for k := 0; k < opts.WorkingSet; k++ {
-		resp, err := probe.Generate(ctx, reqFor(k))
-		if err != nil {
-			return res, fmt.Errorf("loadgen: post-restart key %d: %w", k, err)
-		}
-		if resp.Output != firstOut[k] {
-			res.Divergence++
-		}
-	}
+	res.Divergence += diverged
 	m := victim.Srv.MetricsSnapshot()
 	if seen := m.CacheHits + m.CacheMisses; seen > 0 {
 		res.RestoreHitRate = float64(m.CacheHits) / float64(seen)
@@ -271,8 +177,8 @@ func RunWarmRestart(ctx context.Context, opts WarmRestartOptions) (WarmRestartRe
 
 	// Corruption leg: crash again, mangle the snapshot, and the node must
 	// come back cold but clean — and still answer byte-identically.
-	cl.Kill(opts.Victim)
-	snapPath := filepath.Join(opts.Dir, fmt.Sprintf("node%d", opts.Victim), persist.SnapshotFile)
+	cl.Kill(vi)
+	snapPath := filepath.Join(dir, fmt.Sprintf("node%d", vi), persist.SnapshotFile)
 	raw, err := os.ReadFile(snapPath)
 	if err != nil {
 		return res, fmt.Errorf("loadgen: reading snapshot to corrupt: %w", err)
@@ -281,26 +187,40 @@ func RunWarmRestart(ctx context.Context, opts WarmRestartOptions) (WarmRestartRe
 	if err := os.WriteFile(snapPath, raw, 0o644); err != nil {
 		return res, err
 	}
-	if err := cl.Restart(opts.Victim); err != nil {
+	if err := cl.Restart(vi); err != nil {
 		return res, err
 	}
 	if n := victim.Srv.MetricsSnapshot().RestoreEntries; n != 0 {
 		return res, fmt.Errorf("loadgen: corrupt snapshot still restored %d entries", n)
 	}
-	cold, err := client.New(client.Config{Nodes: cl.URLs(), MaxRetries: 4, ProbeInterval: -1})
+	diverged, err = walk(ctx, cl, reqs, firstOut)
 	if err != nil {
-		return res, err
+		return res, fmt.Errorf("loadgen: post-corruption pass: %w", err)
 	}
-	defer cold.Close()
-	for k := 0; k < opts.WorkingSet; k++ {
-		resp, err := cold.Generate(ctx, reqFor(k))
-		if err != nil {
-			return res, fmt.Errorf("loadgen: post-corruption key %d: %w", k, err)
-		}
-		if resp.Output != firstOut[k] {
-			return res, fmt.Errorf("loadgen: post-corruption output diverged for key %d", k)
-		}
+	if diverged > 0 {
+		return res, fmt.Errorf("loadgen: %d post-corruption outputs diverged", diverged)
 	}
 	res.CorruptColdStart = true
 	return res, ctx.Err()
+}
+
+// walk sends every working-set request once through a fresh SDK and
+// counts answers that differ from firstOut.
+func walk(ctx context.Context, cl *clustertest.Cluster, reqs []wire.GenerateRequest, firstOut []string) (int, error) {
+	sdk, err := plainClient(cl)
+	if err != nil {
+		return 0, err
+	}
+	defer sdk.Close()
+	diverged := 0
+	for k, req := range reqs {
+		resp, err := sdk.Generate(ctx, req)
+		if err != nil {
+			return diverged, fmt.Errorf("key %d: %w", k, err)
+		}
+		if resp.Output != firstOut[k] {
+			diverged++
+		}
+	}
+	return diverged, nil
 }

@@ -61,43 +61,35 @@ go test -race -count=1 \
     -run 'TestReloadStormKeepsCachesBounded|TestConcurrentReloadAndGenerate' ./service
 
 # Cluster chaos suite: whole-cluster failure drills — node kill/restart
-# under live client load, peer-channel partitions via injected transport
-# faults, slow peers vs the probe-timeout floor. Zero lost requests,
-# byte-identical output, health convergence, goroutines back to baseline.
+# under live client load (the same loadgen.RunChaos drill and Check the
+# benchtables stage below runs), peer-channel partitions via injected
+# transport faults, slow peers vs the probe-timeout floor. Zero lost
+# requests, byte-identical output, health convergence, goroutines back to
+# baseline.
 echo "==> cluster chaos suite (kill/restart, partition, slow peer under -race)"
 go test -race -run 'TestClusterChaos' -count=1 ./internal/clustertest
 
-# Node-kill failover drill through the real CLI: 3 nodes, kill 1 mid-run,
-# restart it — the drill exits non-zero if any request failed, any
-# response diverged, or the client spent no retries (outage not exercised).
-echo "==> loadgen chaos drill (kill 1 of 3 under load)"
-go run ./cmd/loadgen -chaos
-
-# Warm-restart durability drill: crash a snapshot-enabled node mid-load
-# (no drain, no parting snapshot), restart it, and require restored
-# entries served byte-identically with first-window cache hits; then
-# corrupt the snapshot and require a clean cold start instead of a crash.
-echo "==> loadgen warm-restart drill (crash, snapshot restore, corruption)"
-go run ./cmd/loadgen -warmrestart
-
-# Hedged-request tail drill: one node gets 300ms injected client-path
-# latency (slow but healthy — invisible to breakers); hedging must win
-# races, beat the unhedged p99, and never exhaust the retry budget.
-echo "==> loadgen hedge drill (300ms slow node, budget-gated hedging)"
-go run ./cmd/loadgen -hedge
-
 # Smoke the daemon benchmark end to end (batch + coalescing tables
-# included) without the full measurement repetitions. This doubles as two
-# regression gates: benchtables exits non-zero if subsequent Generator
-# construction costs >= 10% of the first (the shared type-check universe
-# stopped being reused), or if a warm-uncached request served from a
-# compiled plan costs more than 5x a result-cache hit (the plan fast path
-# stopped engaging), or if node-kill recovery in the E13 chaos stage takes
-# longer than 2x the peer probe interval (probe success stopped
-# re-admitting restarted nodes), or if the warm-restart stage restores
-# under a 0.5 first-window hit rate / costs more than 5x a plain restart
-# (durability regressed or began dominating boot).
-echo "==> benchtables service smoke (incl. cold-start + plan + failover + durability gates)"
+# included) without the full measurement repetitions. benchtables exits
+# non-zero if subsequent Generator construction costs >= 10% of the first
+# (the shared type-check universe stopped being reused) or if a
+# warm-uncached request served from a compiled plan costs more than 5x a
+# result-cache hit (the plan fast path stopped engaging). It also runs
+# the three failure drills, each judged by its result's Check in
+# internal/loadgen:
+#   node kill (ChaosResult.Check): zero failed requests, zero diverging
+#     responses, client retries > 0 (the outage was exercised), recovery
+#     to all-healthy within 2x the peer probe interval; the drill also
+#     fails unless the restarted node sees its peers healthy and the
+#     SDK's breaker for it closes again;
+#   warm restart (WarmRestartResult.Check): zero diverging responses
+#     across the crash, the corrupt-snapshot leg cold-starts cleanly,
+#     first-window hit rate >= 0.5 on the restored node, warm restart
+#     <= 5x max(plain restart, 100ms);
+#   hedging (HedgeResult.Check): zero failed or diverging requests,
+#     hedge wins > 0, zero retry-budget exhaustion, hedged p99 <
+#     unhedged p99 against a 300ms slow-but-healthy node.
+echo "==> benchtables service smoke (cold-start + plan gates, kill/warm-restart/hedge drills)"
 go run ./cmd/benchtables -table service -smoke
 
 echo "==> verify OK"

@@ -22,18 +22,18 @@ const maxBatchItems = wire.MaxBatchItems
 // harness, and embedders). Identical items coalesce through the same
 // singleflight/cache path as single requests, so a batch of N duplicates
 // costs one generation.
-func (s *Server) GenerateBatch(ctx context.Context, req BatchRequest) (BatchResponse, error) {
+func (s *Server) GenerateBatch(ctx context.Context, req wire.BatchRequest) (wire.BatchResponse, error) {
 	if len(req.Requests) == 0 {
-		return BatchResponse{}, errors.New("service: batch needs at least one request")
+		return wire.BatchResponse{}, errors.New("service: batch needs at least one request")
 	}
 	if len(req.Requests) > maxBatchItems {
-		return BatchResponse{}, fmt.Errorf("service: batch of %d requests exceeds the %d-item limit", len(req.Requests), maxBatchItems)
+		return wire.BatchResponse{}, fmt.Errorf("service: batch of %d requests exceeds the %d-item limit", len(req.Requests), maxBatchItems)
 	}
-	results := make([]BatchItem, len(req.Requests))
+	results := make([]wire.BatchItem, len(req.Requests))
 	var wg sync.WaitGroup
 	for i, r := range req.Requests {
 		wg.Add(1)
-		go func(i int, r GenerateRequest) {
+		go func(i int, r wire.GenerateRequest) {
 			defer wg.Done()
 			// A panic in one item's slot must fail that item alone, not
 			// unwind this goroutine (which would kill the process) or strand
@@ -41,7 +41,7 @@ func (s *Server) GenerateBatch(ctx context.Context, req BatchRequest) (BatchResp
 			defer func() {
 				if rec := recover(); rec != nil {
 					s.recordPanic("batch-item", rec, debug.Stack())
-					results[i] = BatchItem{
+					results[i] = wire.BatchItem{
 						Index:  i,
 						Error:  fmt.Sprintf("internal error: %v", rec),
 						Status: http.StatusInternalServerError,
@@ -55,14 +55,14 @@ func (s *Server) GenerateBatch(ctx context.Context, req BatchRequest) (BatchResp
 			defer cancel()
 			resp, err := s.Generate(itemCtx, r)
 			if err != nil {
-				results[i] = BatchItem{Index: i, Error: err.Error(), Status: s.failStatus(err)}
+				results[i] = wire.BatchItem{Index: i, Error: err.Error(), Status: s.failStatus(err)}
 				return
 			}
-			results[i] = BatchItem{Index: i, OK: true, Response: &resp}
+			results[i] = wire.BatchItem{Index: i, OK: true, Response: &resp}
 		}(i, r)
 	}
 	wg.Wait()
-	out := BatchResponse{Results: results}
+	out := wire.BatchResponse{Results: results}
 	for _, r := range results {
 		if r.OK {
 			out.Succeeded++

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cognicryptgen/templates"
+	"cognicryptgen/wire"
 )
 
 // TestBatchMatchesSequential: POST /v1/generate/batch over all 13 embedded
@@ -18,25 +19,25 @@ func TestBatchMatchesSequential(t *testing.T) {
 	cases := append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...)
 
 	want := make([]string, len(cases))
-	var breq BatchRequest
+	var breq wire.BatchRequest
 	for i, uc := range cases {
-		resp, body := postJSON(t, ts.URL+"/v1/generate", GenerateRequest{UseCase: uc.ID})
+		resp, body := postJSON(t, ts.URL+"/v1/generate", wire.GenerateRequest{UseCase: uc.ID})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("sequential use case %d: status %d: %s", uc.ID, resp.StatusCode, body)
 		}
-		var g GenerateResponse
+		var g wire.GenerateResponse
 		if err := json.Unmarshal(body, &g); err != nil {
 			t.Fatal(err)
 		}
 		want[i] = g.Output
-		breq.Requests = append(breq.Requests, GenerateRequest{UseCase: uc.ID})
+		breq.Requests = append(breq.Requests, wire.GenerateRequest{UseCase: uc.ID})
 	}
 
 	resp, body := postJSON(t, ts.URL+"/v1/generate/batch", breq)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: status %d: %s", resp.StatusCode, body)
 	}
-	var bresp BatchResponse
+	var bresp wire.BatchResponse
 	if err := json.Unmarshal(body, &bresp); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 // TestBatchPartialFailure: one bad template fails its own slot only.
 func TestBatchPartialFailure(t *testing.T) {
 	_, ts := sharedService(t)
-	breq := BatchRequest{Requests: []GenerateRequest{
+	breq := wire.BatchRequest{Requests: []wire.GenerateRequest{
 		{UseCase: 11},
 		{Name: "bad.go", Source: "package bad\n\nfunc B() { undefinedSymbol() }\n"},
 	}}
@@ -69,7 +70,7 @@ func TestBatchPartialFailure(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("partial batch must be 200, got %d: %s", resp.StatusCode, body)
 	}
-	var bresp BatchResponse
+	var bresp wire.BatchResponse
 	if err := json.Unmarshal(body, &bresp); err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +89,11 @@ func TestBatchPartialFailure(t *testing.T) {
 // check holds.
 func TestBatchValidation(t *testing.T) {
 	_, ts := sharedService(t)
-	resp, body := postJSON(t, ts.URL+"/v1/generate/batch", BatchRequest{})
+	resp, body := postJSON(t, ts.URL+"/v1/generate/batch", wire.BatchRequest{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty batch: status %d, want 400: %s", resp.StatusCode, body)
 	}
-	over := BatchRequest{Requests: make([]GenerateRequest, maxBatchItems+1)}
+	over := wire.BatchRequest{Requests: make([]wire.GenerateRequest, maxBatchItems+1)}
 	resp, body = postJSON(t, ts.URL+"/v1/generate/batch", over)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("oversize batch: status %d, want 400: %s", resp.StatusCode, body)
@@ -127,7 +128,7 @@ func TestCoalescingSingleGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := GenerateRequest{Name: "coalesce_test.go", Source: src}
+	req := wire.GenerateRequest{Name: "coalesce_test.go", Source: src}
 
 	const n = 8
 	outputs := make([]string, n)
@@ -181,9 +182,9 @@ func TestBatchDuplicatesCoalesce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var breq BatchRequest
+	var breq wire.BatchRequest
 	for i := 0; i < 6; i++ {
-		breq.Requests = append(breq.Requests, GenerateRequest{Name: "dup_batch.go", Source: src})
+		breq.Requests = append(breq.Requests, wire.GenerateRequest{Name: "dup_batch.go", Source: src})
 	}
 	bresp, err := srv.GenerateBatch(context.Background(), breq)
 	if err != nil {

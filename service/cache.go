@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"cognicryptgen/internal/persist"
+	"cognicryptgen/wire"
 )
 
 // The cache-key derivation lives in wire.CacheKey now: the key doubles as
@@ -27,7 +28,7 @@ type resultCache struct {
 // package, verify) tuple without re-deriving anything.
 type cacheEntry struct {
 	key    string
-	resp   GenerateResponse
+	resp   wire.GenerateResponse
 	name   string
 	src    string
 	pkg    string
@@ -41,18 +42,18 @@ func newResultCache(max int) *resultCache {
 	return &resultCache{max: max, ll: list.New(), m: make(map[string]*list.Element, max)}
 }
 
-func (c *resultCache) get(key string) (GenerateResponse, bool) {
+func (c *resultCache) get(key string) (wire.GenerateResponse, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.m[key]
 	if !ok {
-		return GenerateResponse{}, false
+		return wire.GenerateResponse{}, false
 	}
 	c.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry).resp, true
 }
 
-func (c *resultCache) put(key string, resp GenerateResponse, name, src, pkg string, verify bool) {
+func (c *resultCache) put(key string, resp wire.GenerateResponse, name, src, pkg string, verify bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,19 +12,11 @@ import (
 	"cognicryptgen/analysis"
 	"cognicryptgen/gen"
 	"cognicryptgen/internal/faultinject"
+	"cognicryptgen/internal/latwindow"
 )
 
 // ErrClosed is returned by Submit after the pool began shutting down.
 var ErrClosed = errors.New("service: pool is shut down")
-
-// serviceTimeWindow bounds the sliding window of per-job execution times
-// the deadline-aware admission check estimates its p99 from.
-const serviceTimeWindow = 256
-
-// minShedSamples is the number of observed service times required before
-// the deadline-aware admission check activates. A cold pool has no basis
-// for predicting service time, so it queues rather than sheds.
-const minShedSamples = 16
 
 // task is one unit of work executed on a pool worker. ctx is the
 // submitting request's context — tasks are expected to propagate it into
@@ -55,8 +46,7 @@ type PoolConfig struct {
 	// MaxWaiters bounds submissions allowed to block behind a full queue.
 	// 0 selects the default (2×QueueSize); a negative value disables
 	// admission control entirely — every submission blocks until queue
-	// space frees or its context expires, the pre-shedding behaviour that
-	// NewPool preserves.
+	// space frees or its context expires (pure blocking backpressure).
 	MaxWaiters int
 	// OnPanic, when non-nil, observes every panic recovered on a worker.
 	OnPanic func(op string, v any, stack []byte)
@@ -99,25 +89,10 @@ type Pool struct {
 	sendMu sync.RWMutex
 	closed bool
 
-	// Sliding window of per-job execution times feeding the deadline-aware
-	// admission check.
-	stMu     sync.Mutex
-	svcTimes []time.Duration
-	stNext   int
-	stFilled bool
-}
-
-// NewPool starts workers goroutines consuming from a queue of queueSize
-// pending jobs, with admission control disabled (unbounded waiters): the
-// legacy constructor for embedders that want pure blocking backpressure.
-// dir locates the module for template type-checking ("" = working
-// directory).
-func NewPool(registry *Registry, dir string, workers, queueSize int) *Pool {
-	return NewPoolConfig(registry, dir, PoolConfig{
-		Workers:    workers,
-		QueueSize:  queueSize,
-		MaxWaiters: -1,
-	})
+	// svcTimes is the sliding window of per-job execution times feeding
+	// the deadline-aware admission check; until latwindow.MinSamples jobs
+	// have run a cold pool queues rather than sheds.
+	svcTimes latwindow.Window
 }
 
 // NewPoolConfig starts a pool under cfg.
@@ -140,7 +115,6 @@ func NewPoolConfig(registry *Registry, dir string, cfg PoolConfig) *Pool {
 		onPanic:    cfg.OnPanic,
 		onShed:     cfg.OnShed,
 		onAdmit:    cfg.OnAdmit,
-		svcTimes:   make([]time.Duration, serviceTimeWindow),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		p.wg.Add(1)
@@ -156,40 +130,6 @@ func (p *Pool) QueueDepth() int { return len(p.jobs) }
 // Waiters reports the number of submissions currently blocked behind a
 // full queue.
 func (p *Pool) Waiters() int { return int(p.waiters.Load()) }
-
-// observeServiceTime records one job's execution time into the sliding
-// window.
-func (p *Pool) observeServiceTime(d time.Duration) {
-	p.stMu.Lock()
-	p.svcTimes[p.stNext] = d
-	p.stNext++
-	if p.stNext == len(p.svcTimes) {
-		p.stNext = 0
-		p.stFilled = true
-	}
-	p.stMu.Unlock()
-}
-
-// p99ServiceTime estimates the p99 per-job execution time from the sliding
-// window (nearest-rank). ok is false until minShedSamples jobs have run.
-func (p *Pool) p99ServiceTime() (d time.Duration, ok bool) {
-	p.stMu.Lock()
-	n := p.stNext
-	if p.stFilled {
-		n = len(p.svcTimes)
-	}
-	window := append([]time.Duration(nil), p.svcTimes[:n]...)
-	p.stMu.Unlock()
-	if len(window) < minShedSamples {
-		return 0, false
-	}
-	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-	i := (99*len(window) + 99) / 100 // ceil(0.99*n)
-	if i > len(window) {
-		i = len(window)
-	}
-	return window[i-1], true
-}
 
 // Submit enqueues fn and waits for its result. It fails with ctx.Err()
 // when the context expires while the job is queued (the job is then
@@ -237,7 +177,7 @@ func (p *Pool) enqueue(ctx context.Context, j *job) error {
 	}
 	if p.maxWaiters >= 0 {
 		if dl, ok := ctx.Deadline(); ok {
-			if p99, have := p.p99ServiceTime(); have && time.Until(dl) < p99 {
+			if p99, have := p.svcTimes.P99(); have && time.Until(dl) < p99 {
 				if p.onShed != nil {
 					p.onShed()
 				}
@@ -332,7 +272,7 @@ func (w *Worker) run(j *job) {
 	}
 	start := time.Now()
 	v, err := w.exec(j)
-	w.pool.observeServiceTime(time.Since(start))
+	w.pool.svcTimes.Observe(time.Since(start))
 	j.done <- jobResult{v: v, err: err}
 }
 

@@ -25,7 +25,7 @@ func TestPoolSubmitCloseStress(t *testing.T) {
 		perSubmitter = 25
 	)
 	for round := 0; round < rounds; round++ {
-		pool := NewPool(reg, "", 2, 4)
+		pool := NewPoolConfig(reg, "", PoolConfig{Workers: 2, QueueSize: 4, MaxWaiters: -1})
 		var completed, rejected atomic.Int64
 		start := make(chan struct{})
 		var wg sync.WaitGroup

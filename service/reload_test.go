@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cognicryptgen/templates"
+	"cognicryptgen/wire"
 )
 
 // stripHeaderLine drops the "// Code generated ... from <name>" first line:
@@ -37,7 +38,7 @@ func TestReloadUnderLoad(t *testing.T) {
 	cases := append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...)
 	want := make(map[int]string, len(cases))
 	for _, uc := range cases {
-		resp, err := srv.Generate(ctx, GenerateRequest{UseCase: uc.ID})
+		resp, err := srv.Generate(ctx, wire.GenerateRequest{UseCase: uc.ID})
 		if err != nil {
 			t.Fatalf("use case %d: %v", uc.ID, err)
 		}
@@ -79,7 +80,7 @@ func TestReloadUnderLoad(t *testing.T) {
 				// actually runs the pipeline against whichever snapshot its
 				// worker holds mid-reload.
 				name := fmt.Sprintf("reload_g%d_i%d_%s", g, i, uc.File)
-				resp, err := srv.Generate(ctx, GenerateRequest{Name: name, Source: src})
+				resp, err := srv.Generate(ctx, wire.GenerateRequest{Name: name, Source: src})
 				if err != nil {
 					failures.Add(1)
 					errc <- fmt.Errorf("goroutine %d iter %d (%s): %w", g, i, uc.Name, err)

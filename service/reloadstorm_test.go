@@ -11,6 +11,7 @@ import (
 	"cognicryptgen/crysl"
 	"cognicryptgen/gen"
 	"cognicryptgen/templates"
+	"cognicryptgen/wire"
 )
 
 // stormTemplate is a minimal valid template against the one-rule storm
@@ -122,7 +123,7 @@ func TestPlanMetricsReported(t *testing.T) {
 	// and at latest the second is served straight from the compiled plan.
 	for i := 0; i < 3; i++ {
 		resp, body := postJSON(t, ts.URL+"/v1/generate",
-			GenerateRequest{Name: fmt.Sprintf("plan_metric_%d.go", i), Source: src})
+			wire.GenerateRequest{Name: fmt.Sprintf("plan_metric_%d.go", i), Source: src})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, body)
 		}
@@ -172,7 +173,7 @@ func TestConcurrentReloadAndGenerate(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				resp, body := postJSONNoFatal(ts.URL+"/v1/generate",
-					GenerateRequest{Name: fmt.Sprintf("race_%d_%d.go", c, i), Source: stormTemplate})
+					wire.GenerateRequest{Name: fmt.Sprintf("race_%d_%d.go", c, i), Source: stormTemplate})
 				if resp == nil || resp.StatusCode != http.StatusOK {
 					var b []byte
 					if resp != nil {

@@ -679,7 +679,7 @@ func (s *Server) runLeader(ctx context.Context, key string, f *flight, name, src
 		if !ok {
 			return nil
 		}
-		p99, have := s.pool.p99ServiceTime()
+		p99, have := s.pool.svcTimes.P99()
 		if !have || time.Until(dl) >= p99 {
 			return nil
 		}

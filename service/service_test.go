@@ -92,11 +92,11 @@ func TestGenerateAllUseCasesByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("direct generation of %s: %v", uc.File, err)
 		}
-		resp, body := postJSON(t, ts.URL+"/v1/generate", GenerateRequest{UseCase: uc.ID, Verify: true})
+		resp, body := postJSON(t, ts.URL+"/v1/generate", wire.GenerateRequest{UseCase: uc.ID, Verify: true})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("use case %d: status %d: %s", uc.ID, resp.StatusCode, body)
 		}
-		var got GenerateResponse
+		var got wire.GenerateResponse
 		if err := json.Unmarshal(body, &got); err != nil {
 			t.Fatal(err)
 		}
@@ -119,12 +119,12 @@ func TestGenerateAllUseCasesByteIdentical(t *testing.T) {
 // result cache and marked as such.
 func TestGenerateCached(t *testing.T) {
 	_, ts := sharedService(t)
-	req := GenerateRequest{UseCase: 11} // hashing: cheap
+	req := wire.GenerateRequest{UseCase: 11} // hashing: cheap
 	resp, body := postJSON(t, ts.URL+"/v1/generate", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var first GenerateResponse
+	var first wire.GenerateResponse
 	if err := json.Unmarshal(body, &first); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestGenerateCached(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var second GenerateResponse
+	var second wire.GenerateResponse
 	if err := json.Unmarshal(body, &second); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestGenerateCached(t *testing.T) {
 // the client's error.
 func TestGenerateMalformedTemplate400(t *testing.T) {
 	_, ts := sharedService(t)
-	resp, body := postJSON(t, ts.URL+"/v1/generate", GenerateRequest{
+	resp, body := postJSON(t, ts.URL+"/v1/generate", wire.GenerateRequest{
 		Name:   "broken.go",
 		Source: "package broken\n\nfunc Broken() { undefinedSymbol() }\n",
 	})
@@ -211,7 +211,7 @@ func TestGenerateTimeout503(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, body := postJSON(t, ts.URL+"/v1/generate", GenerateRequest{UseCase: 11})
+	resp, body := postJSON(t, ts.URL+"/v1/generate", wire.GenerateRequest{UseCase: 11})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503; body: %s", resp.StatusCode, body)
 	}
@@ -229,7 +229,7 @@ func TestPoolDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewPool(reg, "", 2, 8)
+	pool := NewPoolConfig(reg, "", PoolConfig{Workers: 2, QueueSize: 8, MaxWaiters: -1})
 	var ran int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -274,7 +274,7 @@ func TestConcurrentGenerateRequests(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			uc := cases[i%len(cases)]
-			resp, body := postJSONNoFatal(ts.URL+"/v1/generate", GenerateRequest{UseCase: uc.ID})
+			resp, body := postJSONNoFatal(ts.URL+"/v1/generate", wire.GenerateRequest{UseCase: uc.ID})
 			if resp == nil {
 				errs <- fmt.Errorf("client %d: request failed", i)
 				return

@@ -1,12 +1,16 @@
 package service
 
-import "sync"
+import (
+	"sync"
+
+	"cognicryptgen/wire"
+)
 
 // flight is one in-progress generation that concurrent identical requests
 // attach to. resp and err are written exactly once, before done closes.
 type flight struct {
 	done chan struct{}
-	resp GenerateResponse
+	resp wire.GenerateResponse
 	err  error
 }
 
@@ -41,7 +45,7 @@ func (g *flightGroup) join(key string) (f *flight, leader bool) {
 // is removed from the group before done closes, so a request arriving
 // later starts fresh — and, on success, hits the result cache the leader
 // populated before calling finish.
-func (g *flightGroup) finish(key string, f *flight, resp GenerateResponse, err error) {
+func (g *flightGroup) finish(key string, f *flight, resp wire.GenerateResponse, err error) {
 	g.mu.Lock()
 	delete(g.m, key)
 	g.mu.Unlock()

@@ -13,6 +13,7 @@ import (
 	"cognicryptgen/crysl"
 	"cognicryptgen/gen"
 	"cognicryptgen/internal/faultinject"
+	"cognicryptgen/internal/latwindow"
 	"cognicryptgen/internal/persist"
 	"cognicryptgen/rules"
 	"cognicryptgen/templates"
@@ -293,8 +294,8 @@ func TestForwardedDeadlineShed(t *testing.T) {
 	}
 	defer s.Close()
 	// Teach admission a p99 far above the forwarded budget below.
-	for i := 0; i < minShedSamples; i++ {
-		s.pool.observeServiceTime(10 * time.Second)
+	for i := 0; i < latwindow.MinSamples; i++ {
+		s.pool.svcTimes.Observe(10 * time.Second)
 	}
 
 	// An uncached template so neither the result cache nor the plan fast
