@@ -53,6 +53,14 @@ import (
 // balloon client memory.
 const maxRespBytes = 8 << 20
 
+// respBufs recycles the buffers post reads response bodies into, so a
+// steady stream of ~10 KB generate responses stops re-growing a fresh
+// buffer per call. Buffers grown past maxPooledResp (a large batch) are
+// dropped rather than pinned in the pool.
+var respBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledResp = 256 << 10
+
 // Config tunes a Client. Only Nodes is required.
 type Config struct {
 	// Nodes lists the cluster members' base URLs (one entry = a
@@ -363,10 +371,21 @@ func (c *Client) post(ctx context.Context, node, path string, body []byte, out a
 		return nil, 0, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxRespBytes+1))
-	if err != nil {
+	buf := respBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledResp {
+			respBufs.Put(buf)
+		}
+	}()
+	if n := resp.ContentLength; n > 0 && n <= maxRespBytes {
+		// Room for the body plus the final read that reports EOF.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxRespBytes+1)); err != nil {
 		return nil, 0, err
 	}
+	data := buf.Bytes()
 	if len(data) > maxRespBytes {
 		// Treated as a transport failure: the body is not trustworthy, and
 		// the node (or whatever is in front of it) is misbehaving.

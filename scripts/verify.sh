@@ -73,8 +73,9 @@ go test -race -run 'TestClusterChaos' -count=1 ./internal/clustertest
 # included) without the full measurement repetitions. benchtables exits
 # non-zero if subsequent Generator construction costs >= 10% of the first
 # (the shared type-check universe stopped being reused) or if a
-# warm-uncached request served from a compiled plan costs more than 5x a
-# result-cache hit (the plan fast path stopped engaging). It also runs
+# warm-uncached request over a resident plan is not plan-served or costs
+# more than 1/50 of a full-pipeline miss (the plan fast path stopped
+# engaging). It also runs
 # the three failure drills, each judged by its result's Check in
 # internal/loadgen:
 #   node kill (ChaosResult.Check): zero failed requests, zero diverging
@@ -91,5 +92,13 @@ go test -race -run 'TestClusterChaos' -count=1 ./internal/clustertest
 #     unhedged p99 against a 300ms slow-but-healthy node.
 echo "==> benchtables service smoke (cold-start + plan gates, kill/warm-restart/hedge drills)"
 go run ./cmd/benchtables -table service -smoke
+
+# The benchmark program is its own module (cryptbench/go.mod, replacing
+# cognicryptgen with this checkout), so "go build ./..." above never
+# compiles it. Build and test it here: an API change in service, client,
+# wire or templates must not silently break the benchmark, and its tests
+# check that BENCHMARK.json lists exactly the benchmark's layer metrics.
+echo "==> benchmark program (cryptbench build + tests)"
+(cd cryptbench && go test ./...)
 
 echo "==> verify OK"

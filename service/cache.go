@@ -14,7 +14,8 @@ import (
 
 // resultCache is a mutex-guarded LRU of generation responses. Entries are
 // stored by value and returned by value, so callers may mark their copy
-// (Cached: true) without racing other requests.
+// (Cached: true) without racing other requests. Each entry also memoizes
+// the HTTP body its hits are served with (see getBody).
 type resultCache struct {
 	mu  sync.Mutex
 	max int
@@ -26,6 +27,14 @@ type resultCache struct {
 // warm-restart snapshot is self-contained: a restored entry can refill the
 // result cache by key AND re-warm the plan cache from its (name, source,
 // package, verify) tuple without re-deriving anything.
+//
+// body memoizes the compact JSON of the hit-shaped response (Cached: true),
+// cut just before its trailing duration_ms field: every hit on the entry
+// serves the same bytes apart from that field, so the transport splices
+// body + duration instead of re-encoding. It is filled on the entry's first
+// hit, never persisted, and an entry is immutable once cached — put on an
+// existing key installs a fresh entry, so a replaced response can never be
+// served with the old body.
 type cacheEntry struct {
 	key    string
 	resp   wire.GenerateResponse
@@ -33,6 +42,7 @@ type cacheEntry struct {
 	src    string
 	pkg    string
 	verify bool
+	body   []byte
 }
 
 func newResultCache(max int) *resultCache {
@@ -53,15 +63,48 @@ func (c *resultCache) get(key string) (wire.GenerateResponse, bool) {
 	return el.Value.(*cacheEntry).resp, true
 }
 
+// getBody is get for the HTTP transport: it returns the entry's memoized
+// hit body, encoding it on the entry's first hit. The encode runs outside
+// the mutex, and its result is kept only if the entry was not replaced or
+// evicted meanwhile (the bytes are still right for this hit either way).
+func (c *resultCache) getBody(key string) ([]byte, bool, error) {
+	c.mu.Lock()
+	el, ok := c.m[key]
+	if !ok {
+		c.mu.Unlock()
+		return nil, false, nil
+	}
+	c.ll.MoveToFront(el)
+	e := el.Value.(*cacheEntry)
+	body := e.body
+	c.mu.Unlock()
+	if body != nil {
+		return body, true, nil
+	}
+	resp := e.resp
+	resp.Cached = true
+	body, err := encodeBody(resp)
+	if err != nil {
+		return nil, true, err
+	}
+	c.mu.Lock()
+	if el, ok := c.m[key]; ok && el.Value == e {
+		e.body = body
+	}
+	c.mu.Unlock()
+	return body, true, nil
+}
+
 func (c *resultCache) put(key string, resp wire.GenerateResponse, name, src, pkg string, verify bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	e := &cacheEntry{key: key, resp: resp, name: name, src: src, pkg: pkg, verify: verify}
 	if el, ok := c.m[key]; ok {
-		el.Value.(*cacheEntry).resp = resp
+		el.Value = e
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, resp: resp, name: name, src: src, pkg: pkg, verify: verify})
+	c.m[key] = c.ll.PushFront(e)
 	for c.ll.Len() > c.max {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)

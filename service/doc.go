@@ -29,7 +29,9 @@
 //     generation results keyed by (template-source hash, rule-set
 //     fingerprint, options), fronted by singleflight coalescing — N
 //     concurrent identical cache misses submit exactly one generation and
-//     the followers wait for the leader's result.
+//     the followers wait for the leader's result. Each entry memoizes the
+//     compact JSON body its hits are served with, so an HTTP hit writes
+//     stored bytes plus its duration_ms instead of re-encoding.
 //
 //   - Server (server.go, batch.go): the HTTP JSON API — POST /v1/generate,
 //     POST /v1/generate/batch (concurrent fan-out with per-item results

@@ -580,55 +580,97 @@ func (s *Server) Analyze(ctx context.Context, name, src string) (*analysis.Repor
 // cached only at its owner, which is what makes N nodes one effective
 // cache instead of N copies of the same hot set.
 func (s *Server) Generate(ctx context.Context, req wire.GenerateRequest) (wire.GenerateResponse, error) {
+	resp, _, err := s.generate(ctx, req, false)
+	return resp, err
+}
+
+// GenerateBody is Generate for the HTTP transport: the same request path,
+// returning the response as a body prefix (encodeBody) instead of a
+// struct. A cache hit serves the entry's memoized prefix; every other path
+// encodes its response once.
+func (s *Server) GenerateBody(ctx context.Context, req wire.GenerateRequest) ([]byte, error) {
+	resp, body, err := s.generate(ctx, req, true)
+	if err != nil || body != nil {
+		return body, err
+	}
+	return encodeBody(resp)
+}
+
+// generate is the one request path behind Generate and GenerateBody. With
+// wantBody, a cache hit returns the entry's memoized body instead of the
+// response; nothing else differs.
+func (s *Server) generate(ctx context.Context, req wire.GenerateRequest, wantBody bool) (wire.GenerateResponse, []byte, error) {
 	if req.UseCase != 0 && req.Source != "" {
-		return wire.GenerateResponse{}, errors.New("source and usecase are mutually exclusive")
+		return wire.GenerateResponse{}, nil, errors.New("source and usecase are mutually exclusive")
 	}
-	name, src := req.Name, req.Source
+	var t target
 	if req.UseCase != 0 {
-		uc, err := templates.ByID(req.UseCase)
-		if err != nil {
-			return wire.GenerateResponse{}, err
+		var err error
+		if t.name, t.src, t.sum, err = wire.UseCaseSource(req.UseCase); err != nil {
+			return wire.GenerateResponse{}, nil, err
 		}
-		ucSrc, err := templates.Source(uc)
-		if err != nil {
-			return wire.GenerateResponse{}, err
+	} else {
+		t.name, t.src = req.Name, req.Source
+		if t.name == "" {
+			t.name = "template.go"
 		}
-		name, src = uc.File, ucSrc
-	}
-	if name == "" {
-		name = "template.go"
-	}
-	if strings.TrimSpace(src) == "" {
-		return wire.GenerateResponse{}, errors.New("service: need source or usecase")
+		if strings.TrimSpace(t.src) == "" {
+			return wire.GenerateResponse{}, nil, errors.New("service: need source or usecase")
+		}
+		t.sum = wire.SumSource(t.src)
 	}
 	for {
-		snap := s.registry.Snapshot()
-		key := wire.CacheKey(snap.Fingerprint, name, src, req.Package, req.Verify)
-		if resp, ok := s.cache.get(key); ok {
+		fp := s.registry.Snapshot().Fingerprint
+		t.key, t.fingerprint = t.keyFor(fp, req), fp
+		if wantBody {
+			if body, ok, err := s.cache.getBody(t.key); ok {
+				s.metrics.cacheHits.Add(1)
+				return wire.GenerateResponse{}, body, err
+			}
+		} else if resp, ok := s.cache.get(t.key); ok {
 			s.metrics.cacheHits.Add(1)
 			resp.Cached = true
-			return resp, nil
+			return resp, nil, nil
 		}
-		f, leader := s.flights.join(key)
+		f, leader := s.flights.join(t.key)
 		if !leader {
 			s.metrics.coalesced.Add(1)
 			select {
 			case <-f.done:
 			case <-ctx.Done():
-				return wire.GenerateResponse{}, ctx.Err()
+				return wire.GenerateResponse{}, nil, ctx.Err()
 			}
 			if f.err == nil {
 				resp := f.resp
 				resp.Coalesced = true
-				return resp, nil
+				return resp, nil, nil
 			}
 			if retryableFlightErr(f.err) && ctx.Err() == nil {
 				continue
 			}
-			return wire.GenerateResponse{}, f.err
+			return wire.GenerateResponse{}, nil, f.err
 		}
-		return s.runLeader(ctx, key, f, name, src, req)
+		resp, err := s.runLeader(ctx, t, f, req)
+		return resp, nil, err
 	}
+}
+
+// target is a generate request's resolved template and the cache key it
+// was looked up under.
+type target struct {
+	name, src   string
+	sum         wire.SourceSum
+	fingerprint string // the rule-set fingerprint key was derived from
+	key         string
+}
+
+// keyFor returns the cache key of this target under fingerprint, reusing
+// the looked-up key when the rule set has not changed since.
+func (t *target) keyFor(fingerprint string, req wire.GenerateRequest) string {
+	if t.key != "" && fingerprint == t.fingerprint {
+		return t.key
+	}
+	return wire.CacheKeySum(fingerprint, t.name, t.sum, req.Package, req.Verify)
 }
 
 // runLeader executes a singleflight leader's generation (or peer forward).
@@ -636,21 +678,22 @@ func (s *Server) Generate(ctx context.Context, req wire.GenerateRequest) (wire.G
 // this path — including a panic between pool submission and cache
 // population — the followers parked on f.done are woken with a result or
 // an error, never left waiting on a flight whose leader is gone.
-func (s *Server) runLeader(ctx context.Context, key string, f *flight, name, src string, req wire.GenerateRequest) (resp wire.GenerateResponse, err error) {
+func (s *Server) runLeader(ctx context.Context, t target, f *flight, req wire.GenerateRequest) (resp wire.GenerateResponse, err error) {
+	name, src := t.name, t.src
 	defer func() {
 		if rec := recover(); rec != nil {
 			stack := debug.Stack()
 			s.recordPanic("generate-leader", rec, stack)
 			resp, err = wire.GenerateResponse{}, &InternalError{Op: "generate-leader", Value: rec, Stack: stack}
 		}
-		s.flights.finish(key, f, resp, err)
+		s.flights.finish(t.key, f, resp, err)
 	}()
 	// Cluster: forward to the key's owner if that is a healthy peer and the
 	// request has not already hopped. A definitive peer answer (success or
 	// the peer's own terminal error envelope) is the whole flight's result;
 	// a transport failure falls back to generating locally.
 	if s.cluster != nil && !isPeerHop(ctx) {
-		if owner := s.cluster.ownerPeer(key); owner != "" {
+		if owner := s.cluster.ownerPeer(t.key); owner != "" {
 			fwd, ferr, handled := s.forward(ctx, owner, name, src, req)
 			if handled {
 				return fwd, ferr
@@ -700,7 +743,7 @@ func (s *Server) runLeader(ctx context.Context, key string, f *flight, name, src
 				Report:      toWireReport(res.Report),
 				Fingerprint: snap.Fingerprint,
 			}
-			s.cache.put(wire.CacheKey(snap.Fingerprint, name, src, req.Package, req.Verify), resp, name, src, req.Package, req.Verify)
+			s.cache.put(t.keyFor(snap.Fingerprint, req), resp, name, src, req.Package, req.Verify)
 			return resp, nil
 		}
 	}
@@ -733,7 +776,7 @@ func (s *Server) runLeader(ctx context.Context, key string, f *flight, name, src
 	resp = v.(wire.GenerateResponse)
 	// Populate the cache before releasing the flight so a request landing
 	// between the two sees one or the other, never a fresh miss.
-	s.cache.put(wire.CacheKey(resp.Fingerprint, name, src, req.Package, req.Verify), resp, name, src, req.Package, req.Verify)
+	s.cache.put(t.keyFor(resp.Fingerprint, req), resp, name, src, req.Package, req.Verify)
 	return resp, nil
 }
 

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"time"
 
 	"cognicryptgen/wire"
@@ -20,9 +22,11 @@ import (
 // a peer-forwarded request is an ordinary POST /v1/generate carrying the
 // wire.HeaderForwarded hop guard, not a second protocol.
 type API interface {
-	// Generate runs one generation (cache → singleflight → pool, with
-	// peer forwarding when clustered).
-	Generate(ctx context.Context, req wire.GenerateRequest) (wire.GenerateResponse, error)
+	// GenerateBody runs one generation (cache → singleflight → peer
+	// forward → plan → pool) and returns the response's compact JSON cut
+	// just before its trailing duration_ms field (see encodeBody); a cache
+	// hit returns the entry's memoized bytes without encoding anything.
+	GenerateBody(ctx context.Context, req wire.GenerateRequest) ([]byte, error)
 	// GenerateBatch fans a batch across the worker pool with per-item
 	// partial success.
 	GenerateBatch(ctx context.Context, req wire.BatchRequest) (wire.BatchResponse, error)
@@ -160,15 +164,79 @@ func (t *transport) requestCtx(r *http.Request) (context.Context, context.Cancel
 	return context.WithTimeout(ctx, timeout)
 }
 
+// writeJSON answers with v as compact JSON (pipe it to jq for reading).
 func (t *transport) writeJSON(w http.ResponseWriter, status int, v any) {
 	if status >= 400 {
 		t.m.errors.Add(1)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// durationTail is where every generate response body is cut: duration_ms is
+// the last field of wire.GenerateResponse, and the only one in which two
+// hits on the same cache entry differ.
+const durationTail = `,"duration_ms":`
+
+// encodeBody returns resp's compact JSON encoding cut just before its
+// trailing duration_ms field. writeGenerate completes it into exactly the
+// bytes json.Encoder.Encode emits for resp with its DurationMS set.
+func encodeBody(resp wire.GenerateResponse) ([]byte, error) {
+	resp.DurationMS = 0
+	b, err := json.Marshal(resp)
+	if err != nil {
+		return nil, err
+	}
+	cut := len(b) - len(durationTail+"0}")
+	if cut < 0 || string(b[cut:]) != durationTail+"0}" {
+		return nil, errors.New("service: encoded response does not end in duration_ms")
+	}
+	// Cap the slice at the cut: a cached body is shared by every hit, so
+	// an append to it must never write into its backing array.
+	return b[:cut:cut], nil
+}
+
+// bodyBufs recycles the buffers writeGenerate assembles responses in.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody keeps an outsized response's buffer out of bodyBufs.
+const maxPooledBody = 64 << 10
+
+// writeGenerate answers 200 with prefix (from encodeBody) completed by the
+// duration_ms field, in one write with an exact Content-Length.
+func writeGenerate(w http.ResponseWriter, prefix []byte, durationMS float64) {
+	bp := bodyBufs.Get().(*[]byte)
+	b := append((*bp)[:0], prefix...)
+	b = append(b, durationTail...)
+	b = appendJSONFloat(b, durationMS)
+	b = append(b, "}\n"...)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b) // a failed write means the client went away
+	if cap(b) <= maxPooledBody {
+		*bp = b
+		bodyBufs.Put(bp)
+	}
+}
+
+// appendJSONFloat appends f formatted as encoding/json formats a float64.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// encoding/json writes e-7, not e-07.
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 // writeError answers with the wire.Error envelope — the one error shape
@@ -246,13 +314,12 @@ func (t *transport) handleGenerate(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := t.requestCtx(r)
 	defer cancel()
-	resp, err := t.api.Generate(ctx, req)
+	prefix, err := t.api.GenerateBody(ctx, req)
 	if err != nil {
 		t.writeAPIError(w, err, "generate")
 		return
 	}
-	resp.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
-	t.writeJSON(w, http.StatusOK, resp)
+	writeGenerate(w, prefix, float64(time.Since(start))/float64(time.Millisecond))
 }
 
 func (t *transport) handleGenerateBatch(w http.ResponseWriter, r *http.Request) {

@@ -10,8 +10,11 @@ package templates
 import (
 	"embed"
 	"fmt"
+	"io/fs"
+	"maps"
 	"sort"
 	"strings"
+	"sync"
 )
 
 //go:embed src/*.go
@@ -67,22 +70,15 @@ func ByID(id int) (UseCase, error) {
 	return UseCase{}, fmt.Errorf("templates: no use case %d", id)
 }
 
-// Source returns the template source text for a use case.
-func Source(uc UseCase) (string, error) {
-	data, err := templateFS.ReadFile("src/" + uc.File)
-	if err != nil {
-		return "", fmt.Errorf("templates: %w", err)
-	}
-	return string(data), nil
-}
-
-// Sources returns all template sources keyed by file name.
-func Sources() (map[string]string, error) {
+// sources reads every embedded template once. The embedded files never
+// change, so each use case's source string is built a single time and
+// shared by every caller instead of being re-copied per request.
+var sources = sync.OnceValues(func() (map[string]string, error) {
 	entries, err := templateFS.ReadDir("src")
 	if err != nil {
 		return nil, err
 	}
-	out := map[string]string{}
+	out := make(map[string]string, len(entries))
 	for _, e := range entries {
 		data, err := templateFS.ReadFile("src/" + e.Name())
 		if err != nil {
@@ -91,6 +87,28 @@ func Sources() (map[string]string, error) {
 		out[e.Name()] = string(data)
 	}
 	return out, nil
+})
+
+// Source returns the template source text for a use case.
+func Source(uc UseCase) (string, error) {
+	all, err := sources()
+	if err != nil {
+		return "", fmt.Errorf("templates: %w", err)
+	}
+	src, ok := all[uc.File]
+	if !ok {
+		return "", fmt.Errorf("templates: %w", &fs.PathError{Op: "open", Path: "src/" + uc.File, Err: fs.ErrNotExist})
+	}
+	return src, nil
+}
+
+// Sources returns all template sources keyed by file name.
+func Sources() (map[string]string, error) {
+	all, err := sources()
+	if err != nil {
+		return nil, err
+	}
+	return maps.Clone(all), nil
 }
 
 // Names returns the embedded template file names, sorted.

@@ -1,10 +1,13 @@
 package templates
 
 import (
+	"errors"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestUseCaseTableMatchesPaper(t *testing.T) {
@@ -59,6 +62,22 @@ func TestSourcesReturnsEverything(t *testing.T) {
 	names := Names()
 	if len(names) != len(srcs) {
 		t.Errorf("Names() inconsistent: %v", names)
+	}
+}
+
+// TestSourceIsMemoized: a use case's source is built once and shared by
+// every call, and a use case without an embedded file is a not-exist error.
+func TestSourceIsMemoized(t *testing.T) {
+	a, errA := Source(UseCases[2])
+	b, errB := Source(UseCases[2])
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if unsafe.StringData(a) != unsafe.StringData(b) {
+		t.Error("Source copied the template on the second call")
+	}
+	if _, err := Source(UseCase{ID: 99, File: "missing.go"}); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("Source(missing.go) error = %v, want fs.ErrNotExist", err)
 	}
 }
 

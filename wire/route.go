@@ -6,9 +6,25 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
+	"sync"
+	"unsafe"
 
 	"cognicryptgen/templates"
 )
+
+// SourceSum is the SHA-256 digest of a template source, the part of a
+// cache key that costs the most to compute. Callers that key the same
+// source repeatedly compute it once (SumSource, UseCaseSource) and pass it
+// to CacheKeySum.
+type SourceSum [sha256.Size]byte
+
+// SumSource digests a template source without copying it.
+func SumSource(source string) SourceSum {
+	// sha256 only reads its input, so hashing the string's bytes in place
+	// is safe and skips a []byte copy of the whole template.
+	return sha256.Sum256(unsafe.Slice(unsafe.StringData(source), len(source)))
+}
 
 // CacheKey derives the daemon's result-cache key — which is also the
 // cluster routing key. It folds in the rule-set fingerprint (so a reload
@@ -17,12 +33,62 @@ import (
 // its singleflight group, the peer forwarder, and the client SDK's
 // rendezvous router all key on exactly this string, which is what keeps
 // each node's cache and coalescer hot: every identical request lands on
-// the same node.
+// the same node. Keys are persisted in warm-restart snapshots and shared
+// between daemons and SDKs, so the derivation must never change.
 func CacheKey(fingerprint, name, source, pkg string, verify bool) string {
-	srcSum := sha256.Sum256([]byte(source))
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00%s\x00%s\x00%t", fingerprint, name, hex.EncodeToString(srcSum[:]), pkg, verify)
-	return hex.EncodeToString(h.Sum(nil))
+	return CacheKeySum(fingerprint, name, SumSource(source), pkg, verify)
+}
+
+// CacheKeySum is CacheKey over a precomputed source digest: the SHA-256 of
+// "fingerprint\x00name\x00hex(srcSum)\x00pkg\x00verify", hex-encoded.
+func CacheKeySum(fingerprint, name string, srcSum SourceSum, pkg string, verify bool) string {
+	var stack [256]byte
+	b := append(stack[:0], fingerprint...)
+	b = append(b, 0)
+	b = append(b, name...)
+	b = append(b, 0)
+	b = hex.AppendEncode(b, srcSum[:])
+	b = append(b, 0)
+	b = append(b, pkg...)
+	b = append(b, 0)
+	b = strconv.AppendBool(b, verify)
+	sum := sha256.Sum256(b)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
+}
+
+// useCaseTemplate is one embedded use case as the daemon keys it.
+type useCaseTemplate struct {
+	name, src string
+	sum       SourceSum
+}
+
+// useCaseTemplates resolves every embedded use case once: its file name,
+// source, and source digest never change for the life of the process.
+var useCaseTemplates = sync.OnceValue(func() map[int]useCaseTemplate {
+	out := map[int]useCaseTemplate{}
+	for _, uc := range append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...) {
+		if src, err := templates.Source(uc); err == nil {
+			out[uc.ID] = useCaseTemplate{name: uc.File, src: src, sum: SumSource(src)}
+		}
+	}
+	return out
+})
+
+// UseCaseSource resolves an embedded use case to the template file name
+// and source a daemon generates from, plus the source digest its cache key
+// folds in — all computed once per use case.
+func UseCaseSource(id int) (name, src string, sum SourceSum, err error) {
+	t, ok := useCaseTemplates()[id]
+	if !ok {
+		_, err := templates.ByID(id)
+		if err == nil {
+			err = fmt.Errorf("wire: use case %d has no embedded source", id)
+		}
+		return "", "", SourceSum{}, err
+	}
+	return t.name, t.src, t.sum, nil
 }
 
 // RouteKey computes the routing key for a GenerateRequest as the daemon
@@ -34,18 +100,16 @@ func CacheKey(fingerprint, name, source, pkg string, verify bool) string {
 // consistent) shard layout, and the owning daemon's one-hop forward
 // corrects any disagreement.
 func RouteKey(fingerprint string, req GenerateRequest) string {
-	name, src := req.Name, req.Source
 	if req.UseCase != 0 {
-		if uc, err := templates.ByID(req.UseCase); err == nil {
-			if s, serr := templates.Source(uc); serr == nil {
-				name, src = uc.File, s
-			}
+		if name, _, sum, err := UseCaseSource(req.UseCase); err == nil {
+			return CacheKeySum(fingerprint, name, sum, req.Package, req.Verify)
 		}
 	}
+	name := req.Name
 	if name == "" {
 		name = "template.go"
 	}
-	return CacheKey(fingerprint, name, src, req.Package, req.Verify)
+	return CacheKey(fingerprint, name, req.Source, req.Package, req.Verify)
 }
 
 // rendezvousScore is the highest-random-weight score of (node, key).

@@ -3,6 +3,8 @@ package wire
 import (
 	"fmt"
 	"testing"
+
+	"cognicryptgen/templates"
 )
 
 // TestCacheKeySensitivity: every key component matters (moved here from
@@ -38,6 +40,48 @@ func TestRouteKeyResolvesUseCase(t *testing.T) {
 	// Defaulted name matches the daemon's "template.go" default.
 	if RouteKey("fp", GenerateRequest{Source: "package p"}) != CacheKey("fp", "template.go", "package p", "", false) {
 		t.Fatal("defaulted name does not match the daemon's template.go default")
+	}
+}
+
+// TestCacheKeyGolden pins the key derivation: keys are persisted in
+// warm-restart snapshots and shared by daemons and SDKs, so a faster
+// implementation must return exactly the same hex for the same inputs.
+func TestCacheKeyGolden(t *testing.T) {
+	for _, tc := range []struct {
+		fp, name, src, pkg string
+		verify             bool
+		want               string
+	}{
+		{"", "template.go", "", "", false, "574f1e36b5cfc81be5c175cc7b3de4b0aacf4fca1cd6a7c2e741ea3ac9dd55ff"},
+		{"fp", "n.go", "package p\n", "", false, "5b47172f15e19032ac39aec05414318e2eaf47ecb0084f5a7fe1aef4337ba1ae"},
+		{"3f9a", "pbebytes.go", "package p\n\nfunc F() {}\n", "mypkg", true, "78dca4ec259278bc574a597866a0468ac069af3a0b72af52264ef13e70964764"},
+	} {
+		if got := CacheKey(tc.fp, tc.name, tc.src, tc.pkg, tc.verify); got != tc.want {
+			t.Errorf("CacheKey(%q, %q, %q, %q, %t) = %s, want %s", tc.fp, tc.name, tc.src, tc.pkg, tc.verify, got, tc.want)
+		}
+	}
+}
+
+// TestUseCaseKeyMatchesSource: the memoized use-case digest keys exactly
+// as hashing the resolved template source does, and an unknown use case
+// is an error.
+func TestUseCaseKeyMatchesSource(t *testing.T) {
+	for _, uc := range append(append([]templates.UseCase(nil), templates.UseCases...), templates.Extensions...) {
+		src, err := templates.Source(uc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name, got, sum, err := UseCaseSource(uc.ID)
+		if err != nil || name != uc.File || got != src || sum != SumSource(src) {
+			t.Fatalf("UseCaseSource(%d) = %q, %d bytes, %v; want %q and its source", uc.ID, name, len(got), err, uc.File)
+		}
+		req := GenerateRequest{UseCase: uc.ID, Package: "p", Verify: true}
+		if RouteKey("fp", req) != CacheKey("fp", uc.File, src, "p", true) {
+			t.Errorf("use case %d: RouteKey differs from CacheKey over its source", uc.ID)
+		}
+	}
+	if _, _, _, err := UseCaseSource(99); err == nil {
+		t.Error("UseCaseSource(99) succeeded")
 	}
 }
 
