@@ -131,6 +131,7 @@ func (a *Analyzer) AnalyzeSource(name, src string) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %s does not type-check: %w", name, err)
 	}
+	defer a.checker.Release(file) // findings resolve their positions first
 	return a.analyzeFiles([]*ast.File{file}, info), nil
 }
 
@@ -142,6 +143,7 @@ func (a *Analyzer) AnalyzeDir(dir string) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %s does not type-check: %w", dir, err)
 	}
+	defer a.checker.Release(files...)
 	return a.analyzeFiles(files, info), nil
 }
 

@@ -3,7 +3,6 @@ package gen
 import (
 	"fmt"
 	"go/types"
-	"regexp"
 	"strings"
 
 	"cognicryptgen/crysl"
@@ -105,7 +104,8 @@ func (g *Generator) generateChain(tmpl *Template, m *TemplateMethod, chain *Chai
 	}
 	st := &chainState{names: methodNames, errRet: errRet}
 	g.curPool = nil
-	links := g.computeLinks(tmpl, m, chain)
+	candidates := g.chainCandidates(tmpl, m, chain)
+	links := g.computeLinks(chain, candidates)
 
 	for idx, inv := range chain.Invocations {
 		rule, ok := g.rules.Get(inv.RuleName)
@@ -114,7 +114,7 @@ func (g *Generator) generateChain(tmpl *Template, m *TemplateMethod, chain *Chai
 		}
 		rr := &RuleReport{Rule: rule.SpecType()}
 		mr.Rules = append(mr.Rules, rr)
-		if err := g.generateInvocation(tmpl, m, inv, idx, rule, links, st, rr, report); err != nil {
+		if err := g.generateInvocation(tmpl, m, inv, idx, rule, candidates[idx], links, st, rr, report); err != nil {
 			return "", fmt.Errorf("rule %s: %w", rule.SpecType(), err)
 		}
 	}
@@ -133,19 +133,46 @@ func (st *chainState) suppressUnused() {
 	}
 	text := strings.Join(st.lines, "\n")
 	for _, name := range st.declared {
-		re := regexp.MustCompile(`\b` + regexp.QuoteMeta(name) + `\b`)
-		if len(re.FindAllStringIndex(text, 2)) < 2 {
+		if countWord(text, name, 2) < 2 {
 			st.lines = append(st.lines, "_ = "+name)
 		}
 	}
 }
 
-// generateInvocation selects a path for one rule invocation, resolves its
-// parameters, and emits its statements.
-func (g *Generator) generateInvocation(tmpl *Template, m *TemplateMethod, inv *Invocation, idx int, rule *crysl.Rule, links []link, st *chainState, rr *RuleReport, report *Report) error {
-	paths := g.acceptingPaths(rule)
-	if len(paths) == 0 {
-		return fmt.Errorf("ORDER pattern has no accepting path")
+// chainCandidates returns, per invocation of the chain, the accepting
+// paths that cover its template bindings and return object, in enumeration
+// order (nil for an unknown rule). Link computation and path selection
+// both read these lists; each is a fresh slice, so sorting one never
+// reorders the shared path cache.
+func (g *Generator) chainCandidates(tmpl *Template, m *TemplateMethod, chain *Chain) [][][]string {
+	out := make([][][]string, len(chain.Invocations))
+	for i, inv := range chain.Invocations {
+		rule, ok := g.rules.Get(inv.RuleName)
+		if !ok {
+			continue
+		}
+		for _, p := range g.acceptingPaths(rule) {
+			if !g.opts.NoBindingFilter && !pathCoversBindings(rule, p, inv) {
+				continue
+			}
+			if !g.pathCoversReturn(tmpl, m, rule, p, inv) {
+				continue
+			}
+			out[i] = append(out[i], p)
+		}
+	}
+	return out
+}
+
+// generateInvocation selects a path for one rule invocation from its
+// candidates (see chainCandidates), resolves its parameters, and emits its
+// statements.
+func (g *Generator) generateInvocation(tmpl *Template, m *TemplateMethod, inv *Invocation, idx int, rule *crysl.Rule, candidates [][]string, links []link, st *chainState, rr *RuleReport, report *Report) error {
+	if len(candidates) == 0 {
+		if len(g.acceptingPaths(rule)) == 0 {
+			return fmt.Errorf("ORDER pattern has no accepting path")
+		}
+		return fmt.Errorf("no accepting path covers the template bindings %v and return object %q", bindingVars(inv), inv.ReturnObj)
 	}
 
 	// Variables this invocation should consume, and predicates it should
@@ -161,20 +188,6 @@ func (g *Generator) generateInvocation(tmpl *Template, m *TemplateMethod, inv *I
 				wantGrants[l.pred] = true
 			}
 		}
-	}
-
-	var candidates [][]string
-	for _, p := range paths {
-		if !g.opts.NoBindingFilter && !pathCoversBindings(rule, p, inv) {
-			continue
-		}
-		if !g.pathCoversReturn(tmpl, m, rule, p, inv) {
-			continue
-		}
-		candidates = append(candidates, p)
-	}
-	if len(candidates) == 0 {
-		return fmt.Errorf("no accepting path covers the template bindings %v and return object %q", bindingVars(inv), inv.ReturnObj)
 	}
 	g.sortPaths(rule, candidates, wantVars, wantGrants)
 

@@ -268,6 +268,9 @@ func (g *Generator) generate(ctx context.Context, name, src string, start time.T
 	if err != nil {
 		return nil, "", fmt.Errorf("gen: template %s does not type-check: %w", name, err)
 	}
+	// Splicing resolves template positions up to the end of this call;
+	// every error it returns is formatted before the file is released.
+	defer g.checker.Release(file)
 	tmpl, err := scanTemplate(name, src, file, g.checker.Fset, pkg, info)
 	if err != nil {
 		return nil, "", err
@@ -310,7 +313,7 @@ func (g *Generator) generate(ctx context.Context, name, src string, start time.T
 		if err := cancelled(ctx, name, "output verification"); err != nil {
 			return nil, "", err
 		}
-		if _, _, _, err := g.checker.CheckSource("generated_"+name, out); err != nil {
+		if err := g.checker.Verify("generated_"+name, out); err != nil {
 			return nil, "", fmt.Errorf("gen: generated code failed verification (this is a generator bug): %w", err)
 		}
 	}
@@ -339,16 +342,17 @@ type link struct {
 // producer can grant to predicates a consumer requires, matching on
 // predicate name and declared-type compatibility. A REQUIRES only
 // participates when the required object appears on at least one path the
-// consumer could feasibly select (given its bindings and return object) —
-// CrySL requirements are conditional on the object actually being used.
-func (g *Generator) computeLinks(tmpl *Template, m *TemplateMethod, chain *Chain) []link {
+// consumer could feasibly select (its candidates, which already honour
+// its bindings and return object) — CrySL requirements are conditional on
+// the object actually being used.
+func (g *Generator) computeLinks(chain *Chain, candidates [][][]string) []link {
 	var links []link
 	for j, cinv := range chain.Invocations {
 		crule, ok := g.rules.Get(cinv.RuleName)
 		if !ok {
 			continue
 		}
-		feasibleVars := g.feasibleVars(tmpl, m, crule, cinv)
+		feasibleVars := feasibleVars(crule, candidates[j])
 		for _, req := range crule.AST.Requires {
 			if len(req.Params) == 0 {
 				continue
@@ -393,18 +397,11 @@ func (g *Generator) computeLinks(tmpl *Template, m *TemplateMethod, chain *Chain
 	return links
 }
 
-// feasibleVars returns the rule variables referenced by at least one
-// accepting path that survives the consumer's binding and return-object
-// filters.
-func (g *Generator) feasibleVars(tmpl *Template, m *TemplateMethod, rule *crysl.Rule, inv *Invocation) map[string]bool {
+// feasibleVars returns the rule variables referenced by at least one of
+// the consumer's candidate paths.
+func feasibleVars(rule *crysl.Rule, candidates [][]string) map[string]bool {
 	out := map[string]bool{}
-	for _, p := range g.acceptingPaths(rule) {
-		if !g.opts.NoBindingFilter && !pathCoversBindings(rule, p, inv) {
-			continue
-		}
-		if !g.pathCoversReturn(tmpl, m, rule, p, inv) {
-			continue
-		}
+	for _, p := range candidates {
 		for _, label := range p {
 			if ev, ok := rule.Event(label); ok {
 				for _, prm := range ev.Params {
@@ -501,55 +498,61 @@ func (g *Generator) crySLTypeCompatible(from, to ast.Type) bool {
 // sortPaths ranks candidate paths: link score descending (paths that
 // consume required predicates and grant predicates later rules rely on,
 // workflow steps ②③), then fewest calls, then fewest parameters, then
-// lexicographic (stability).
+// lexicographic (stability). Each path's keys are computed once, not per
+// comparison.
 func (g *Generator) sortPaths(rule *crysl.Rule, paths [][]string, wantVars, wantGrants map[string]bool) {
-	score := func(p []string) int {
-		if g.opts.NoLinkPreference {
-			return 0
-		}
-		s := 0
-		seen := map[string]bool{}
+	type ranked struct {
+		path          []string
+		score, params int
+		key           string
+	}
+	rs := make([]ranked, len(paths))
+	seenVars, seenGrants := map[string]bool{}, map[string]bool{}
+	for i, p := range paths {
+		r := ranked{path: p, key: strings.Join(p, ",")}
+		clear(seenVars)
+		clear(seenGrants)
 		for _, label := range p {
-			if ev, ok := rule.Event(label); ok {
+			ev, ok := rule.Event(label)
+			if ok {
+				r.params += len(ev.Params)
+			}
+			if g.opts.NoLinkPreference {
+				continue
+			}
+			if ok {
 				for _, prm := range ev.Params {
-					if wantVars[prm.Name] && !seen[prm.Name] {
-						seen[prm.Name] = true
-						s++
+					if wantVars[prm.Name] && !seenVars[prm.Name] {
+						seenVars[prm.Name] = true
+						r.score++
 					}
 				}
 			}
 			for _, pd := range rule.EnsuredAfter(label) {
-				if wantGrants[pd.Name] && !seen["grant:"+pd.Name] {
-					seen["grant:"+pd.Name] = true
-					s++
+				if wantGrants[pd.Name] && !seenGrants[pd.Name] {
+					seenGrants[pd.Name] = true
+					r.score++
 				}
 			}
 		}
-		return s
+		rs[i] = r
 	}
-	params := func(p []string) int {
-		n := 0
-		for _, label := range p {
-			if ev, ok := rule.Event(label); ok {
-				n += len(ev.Params)
-			}
+	sort.SliceStable(rs, func(i, j int) bool {
+		a, b := &rs[i], &rs[j]
+		if a.score != b.score {
+			return a.score > b.score
 		}
-		return n
-	}
-	sort.SliceStable(paths, func(i, j int) bool {
-		si, sj := score(paths[i]), score(paths[j])
-		if si != sj {
-			return si > sj
+		if len(a.path) != len(b.path) {
+			return len(a.path) < len(b.path)
 		}
-		if len(paths[i]) != len(paths[j]) {
-			return len(paths[i]) < len(paths[j])
+		if a.params != b.params {
+			return a.params < b.params
 		}
-		pi, pj := params(paths[i]), params(paths[j])
-		if pi != pj {
-			return pi < pj
-		}
-		return strings.Join(paths[i], ",") < strings.Join(paths[j], ",")
+		return a.key < b.key
 	})
+	for i := range rs {
+		paths[i] = rs[i].path
+	}
 }
 
 // pathCoversBindings checks that every bound rule variable that occurs in

@@ -3,20 +3,16 @@ package gen
 import (
 	"fmt"
 	"go/format"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-var buildTagRE = regexp.MustCompile(`(?m)^//go:build cryptgen_template\r?\n(\r?\n)?`)
-
 // generatedUsesGCA reports whether any generated snippet references the
 // crypto façade package by name.
 func generatedUsesGCA(texts []string, pkgName string) bool {
-	re := regexp.MustCompile(`\b` + regexp.QuoteMeta(pkgName) + `\.`)
 	for _, t := range texts {
-		if re.MatchString(t) {
+		if usesQualifier(t, pkgName) {
 			return true
 		}
 	}
@@ -87,7 +83,7 @@ func (g *Generator) spliceOutput(tmpl *Template, repl map[int][2]int, texts []st
 		out = out[:e.start] + e.text + out[e.end:]
 	}
 
-	out = buildTagRE.ReplaceAllString(out, "")
+	out = stripBuildTag(out)
 	header := planHeaderPrefix + tmpl.Name + ". DO NOT EDIT.\n//\n" +
 		"// The implementation below was derived from GoCrySL rules; edit the\n" +
 		"// template and the rules, then regenerate, instead of patching this file.\n\n"

@@ -133,7 +133,9 @@ func (c *Checker) importer() types.ImporterFrom {
 }
 
 // CheckDir parses and type-checks all non-test Go files of the package in
-// dir, returning the files and the shared type info.
+// dir, returning the files and the shared type info. The caller releases
+// the files (see Release) once it has resolved their positions; on error
+// they are already released.
 func (c *Checker) CheckDir(dir string) ([]*ast.File, *types.Package, *types.Info, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -146,32 +148,20 @@ func (c *Checker) CheckDir(dir string) ([]*ast.File, *types.Package, *types.Info
 			continue
 		}
 		f, err := parser.ParseFile(c.Fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		files = append(files, f)
 		if err != nil {
+			c.Release(files...)
 			return nil, nil, nil, fmt.Errorf("srccheck: parsing %s: %w", name, err)
 		}
-		files = append(files, f)
 	}
 	if len(files) == 0 {
 		return nil, nil, nil, fmt.Errorf("srccheck: no Go files in %s", dir)
 	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
-	var errs []error
-	conf := types.Config{
-		Importer: c.importer(),
-		Error:    func(err error) { errs = append(errs, err) },
-	}
-	pkg, err := conf.Check(files[0].Name.Name, c.Fset, files, info)
-	if len(errs) > 0 {
-		return files, pkg, info, fmt.Errorf("srccheck: type errors: %w", errors.Join(errs...))
-	}
+	info := newInfo()
+	pkg, err := c.typeCheck(files, info)
 	if err != nil {
-		return files, pkg, info, fmt.Errorf("srccheck: type errors: %w", err)
+		c.Release(files...)
+		return nil, nil, nil, err
 	}
 	return files, pkg, info, nil
 }
@@ -179,13 +169,15 @@ func (c *Checker) CheckDir(dir string) ([]*ast.File, *types.Package, *types.Info
 // CheckPackageWith type-checks the Go package in dir together with one
 // additional in-memory file (filename/src), as if the file had been saved
 // into the directory. Test files are ignored. An empty or non-existent
-// directory degrades to checking the new file alone.
+// directory degrades to checking the new file alone. Every file it parses
+// is released before it returns.
 func (c *Checker) CheckPackageWith(dir, filename, src string) error {
 	extra, err := parser.ParseFile(c.Fset, filename, src, parser.SkipObjectResolution)
+	files := []*ast.File{extra}
+	defer func() { c.Release(files...) }()
 	if err != nil {
 		return fmt.Errorf("srccheck: parse %s: %w", filename, err)
 	}
-	files := []*ast.File{extra}
 	entries, err := os.ReadDir(dir)
 	if err == nil {
 		for _, e := range entries {
@@ -194,27 +186,17 @@ func (c *Checker) CheckPackageWith(dir, filename, src string) error {
 				continue
 			}
 			f, err := parser.ParseFile(c.Fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			files = append(files, f)
 			if err != nil {
 				return fmt.Errorf("srccheck: parsing existing %s: %w", name, err)
 			}
 			if f.Name.Name != extra.Name.Name {
 				return fmt.Errorf("srccheck: package mismatch: %s declares %q, new file declares %q", name, f.Name.Name, extra.Name.Name)
 			}
-			files = append(files, f)
 		}
 	}
-	var errs []error
-	conf := types.Config{
-		Importer: c.importer(),
-		Error:    func(err error) { errs = append(errs, err) },
-	}
-	if _, err := conf.Check(extra.Name.Name, c.Fset, files, nil); err != nil && len(errs) == 0 {
-		errs = append(errs, err)
-	}
-	if len(errs) > 0 {
-		return fmt.Errorf("srccheck: type errors: %w", errors.Join(errs...))
-	}
-	return nil
+	_, err = c.typeCheck(files, nil)
+	return err
 }
 
 // PackageNameOf reports the package name declared by the Go files in dir,
@@ -241,30 +223,86 @@ func PackageNameOf(dir string) string {
 
 // CheckSource parses and type-checks a single in-memory Go file named
 // filename containing src. It returns the parsed file, its package, and
-// the type info.
+// the type info. The caller releases the file (see Release) once it has
+// resolved its positions; on error the file is already released.
 func (c *Checker) CheckSource(filename, src string) (*ast.File, *types.Package, *types.Info, error) {
+	info := newInfo()
+	f, pkg, err := c.checkOne(filename, src, info)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return f, pkg, info, nil
+}
+
+// Verify type-checks src as CheckSource does but records no type info and
+// keeps nothing: its file leaves the FileSet before Verify returns. Every
+// check still runs; only the info maps no caller would read are skipped.
+func (c *Checker) Verify(filename, src string) error {
+	f, _, err := c.checkOne(filename, src, nil)
+	c.Release(f)
+	return err
+}
+
+// Release drops files from the shared FileSet. Every parse adds a file to
+// that set, so a long-lived process that checks a stream of sources must
+// release each one or the set grows without bound. Positions of a released
+// file no longer resolve: release only after every position and error
+// string the caller needs has been formatted. Releasing nil or an already
+// released file is a no-op.
+func (c *Checker) Release(files ...*ast.File) {
+	for _, f := range files {
+		if f == nil {
+			continue
+		}
+		if tf := c.Fset.File(f.FileStart); tf != nil {
+			c.Fset.RemoveFile(tf)
+		}
+	}
+}
+
+// checkOne parses and type-checks one file, recording into info (nil =
+// none). On error the file is already released.
+func (c *Checker) checkOne(filename, src string, info *types.Info) (*ast.File, *types.Package, error) {
 	f, err := parser.ParseFile(c.Fset, filename, src, parser.SkipObjectResolution)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("srccheck: parse: %w", err)
+		c.Release(f)
+		return nil, nil, fmt.Errorf("srccheck: parse: %w", err)
 	}
-	info := &types.Info{
+	pkg, err := c.typeCheck([]*ast.File{f}, info)
+	if err != nil {
+		c.Release(f)
+		return nil, nil, err
+	}
+	return f, pkg, nil
+}
+
+// typeCheck type-checks files as one package. The error text is formatted
+// here, while the files' positions still resolve, so it survives their
+// release.
+func (c *Checker) typeCheck(files []*ast.File, info *types.Info) (*types.Package, error) {
+	var errs []error
+	conf := types.Config{
+		Importer: c.importer(),
+		Error:    func(err error) { errs = append(errs, err) },
+	}
+	pkg, err := conf.Check(files[0].Name.Name, c.Fset, files, info)
+	if len(errs) > 0 {
+		return nil, fmt.Errorf("srccheck: type errors: %w", errors.Join(errs...))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("srccheck: type errors: %w", err)
+	}
+	return pkg, nil
+}
+
+// newInfo returns a types.Info recording everything the generator and the
+// analyzer read.
+func newInfo() *types.Info {
+	return &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Implicits:  map[ast.Node]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	var errs []error
-	conf := types.Config{
-		Importer: c.importer(),
-		Error:    func(err error) { errs = append(errs, err) },
-	}
-	pkg, err := conf.Check(f.Name.Name, c.Fset, []*ast.File{f}, info)
-	if len(errs) > 0 {
-		return f, pkg, info, fmt.Errorf("srccheck: type errors: %w", errors.Join(errs...))
-	}
-	if err != nil {
-		return f, pkg, info, fmt.Errorf("srccheck: type errors: %w", err)
-	}
-	return f, pkg, info, nil
 }

@@ -1,6 +1,7 @@
 package srccheck
 
 import (
+	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -104,6 +105,50 @@ func TestCheckSourceRejectsSyntaxErrors(t *testing.T) {
 	_, _, _, err := c.CheckSource("bad.go", "package x\nfunc {")
 	if err == nil || !strings.Contains(err.Error(), "parse") {
 		t.Fatalf("got %v", err)
+	}
+}
+
+// TestFilesLeaveFileSet: Verify keeps no file on any outcome, CheckSource
+// keeps only a file it returns, and Release takes that one out. Errors
+// keep their file:line:col after the release.
+func TestFilesLeaveFileSet(t *testing.T) {
+	c, _ := NewChecker("")
+	count := func() int {
+		n := 0
+		c.Fset.Iterate(func(*token.File) bool { n++; return true })
+		return n
+	}
+	const ok = "package x\n\nimport \"cognicryptgen/gca\"\n\nvar _ = gca.NewSecureRandom\n"
+	if err := c.Verify("warm.go", ok); err != nil { // imports gca for good
+		t.Fatal(err)
+	}
+	before := count()
+	if err := c.Verify("ok.go", ok); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Verify("syntax.go", "package x\nfunc {"); err == nil || !strings.Contains(err.Error(), "syntax.go:2:6: ") {
+		t.Errorf("syntax error: %v", err)
+	}
+	if err := c.Verify("types.go", "package x\n\nvar n int = \"s\"\n"); err == nil || !strings.Contains(err.Error(), "types.go:3:13: ") {
+		t.Errorf("type error: %v", err)
+	}
+	if f, _, _, err := c.CheckSource("types.go", "package x\n\nvar n int = \"s\"\n"); err == nil || f != nil {
+		t.Errorf("CheckSource on a type error: file %v, err %v", f, err)
+	}
+	if got := count(); got != before {
+		t.Errorf("FileSet holds %d files after failed and verified checks, want %d", got, before)
+	}
+	f, _, _, err := c.CheckSource("kept.go", ok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := count(); got != before+1 {
+		t.Errorf("FileSet holds %d files with one checked file kept, want %d", got, before+1)
+	}
+	c.Release(f)
+	c.Release(f, nil) // no-op
+	if got := count(); got != before {
+		t.Errorf("FileSet holds %d files after Release, want %d", got, before)
 	}
 }
 

@@ -30,12 +30,14 @@ go test -race -run 'TestPoolSubmitCloseStress' -count=2 ./service
 echo "==> chaos suite (fault injection under -race)"
 go test -race -run 'TestChaos|TestBodyCap' -count=1 ./service
 
-# Timed fuzz smoke: 10s of exploration per parser entry point on top of
+# Timed fuzz smoke: 10s of exploration per parser entry point, and for
+# the generator's byte scans against the regexps they replaced, on top of
 # the seed-corpus replay in the normal test run. Any crasher fails the
 # gate and lands in testdata/fuzz/ for triage.
 echo "==> fuzz smoke (10s per target)"
 go test -run NONE -fuzz 'FuzzParseRule' -fuzztime 10s ./crysl
 go test -run NONE -fuzz 'FuzzParseTemplate' -fuzztime 10s ./gen
+go test -run NONE -fuzz 'FuzzTextScans' -fuzztime 10s ./gen
 
 # Cluster smoke: 3 in-process nodes behind the client SDK must produce
 # byte-identical output to a standalone node for all 13 templates, and an

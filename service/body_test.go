@@ -8,12 +8,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cognicryptgen/crysl"
 	"cognicryptgen/internal/persist"
+	"cognicryptgen/templates"
 	"cognicryptgen/wire"
 )
 
@@ -275,5 +278,58 @@ func TestHitAllocBudget(t *testing.T) {
 		}
 	}); n > 2 {
 		t.Errorf("GenerateBody hit: %.0f allocs, budget 2", n)
+	}
+}
+
+// TestPipelineMissAllocBudget pins the allocation count of a full-pipeline
+// miss: a verified generation of a body neither cache has seen, through
+// Server.Generate on one worker.
+func TestPipelineMissAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	srv, _ := chaosServer(t, Config{Workers: 1, CacheSize: 16})
+	// The startup plan warm generates every template in the background;
+	// let it finish so its allocations stay out of the count.
+	all := len(templates.UseCases) + len(templates.Extensions)
+	for deadline := time.Now().Add(30 * time.Second); srv.registry.Snapshot().Plans.Len() < all; {
+		if time.Now().After(deadline) {
+			t.Fatal("startup plan warm did not finish")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	uc, err := templates.ByID(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := templates.Source(uc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	reqs := make([]wire.GenerateRequest, runs+2) // one warm-up here, one in AllocsPerRun
+	for i := range reqs {
+		// A renamed struct type makes a body new to the result and plan caches.
+		body := strings.ReplaceAll(src, "PBEByteArrayEncryptor", "PBEByteArrayEncryptorV"+strconv.Itoa(i))
+		reqs[i] = wire.GenerateRequest{Name: uc.File, Source: body, Verify: true}
+	}
+	ctx := context.Background()
+	generate := func(req wire.GenerateRequest) {
+		resp, err := srv.Generate(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Cached {
+			t.Fatal("fresh body served from a cache")
+		}
+	}
+	generate(reqs[0])
+	i := 1
+	// Measured 7,829 allocs with go1.24.
+	if n := testing.AllocsPerRun(runs, func() {
+		generate(reqs[i])
+		i++
+	}); n > 8400 {
+		t.Errorf("pipeline miss: %.0f allocs, budget 8400", n)
 	}
 }
